@@ -27,6 +27,7 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "scenario/scenario_runner.h"
+#include "sim/engine.h"
 #include "sim/machine_catalog.h"
 
 using namespace litmus;
@@ -86,11 +87,6 @@ main(int argc, char **argv)
         .addOption("keepalive", "warm-container keep-alive (s)", "10")
         .addOption("threads",
                    "worker threads (0 = one per machine)", "0")
-        .addOption("sched",
-                   "cluster scheduling backend: event (deterministic "
-                   "event queue, idle machines cost zero) | epoch "
-                   "(fixed-epoch oracle; bit-identical reports)",
-                   "event")
         .addOption("preset",
                    "machine type (catalog name) for a homogeneous "
                    "fleet",
@@ -118,10 +114,14 @@ main(int argc, char **argv)
                    "calibrate every fleet machine type in-process "
                    "(Litmus pricing without --tables)")
         .addSwitch("exact-quantum",
-                   "disable steady-state fast-forward and batched idle "
-                   "epochs (bit-identical totals, slower; A/B "
-                   "validation)");
+                   "disable the steady-state fast-forward engine "
+                   "(bit-identical totals, slower; A/B validation)");
     args.parseOrExit(argc, argv);
+
+    // Applies to every engine the run constructs (fleet machines and
+    // calibration sweeps alike).
+    if (args.has("exact-quantum"))
+        sim::Engine::setDefaultFastForward(false);
 
     const std::string scenarioPath = args.get("scenario");
     scenario::ScenarioSpec spec;
@@ -186,7 +186,6 @@ main(int argc, char **argv)
     overlay("epoch-us", "epoch_us");
     overlay("keepalive", "keepalive");
     overlay("threads", "threads");
-    overlay("sched", "scheduler");
     overlay("tables", "tables");
     overlay("tables-out", "tables_out");
     if (args.has("faults")) {
@@ -207,8 +206,6 @@ main(int argc, char **argv)
     }
     if (args.has("calibrate"))
         spec.calibrate = true;
-    if (args.has("exact-quantum"))
-        spec.exactQuantum = true;
 
     scenario::ScenarioRunner runner(std::move(spec));
 

@@ -217,8 +217,6 @@ cmdScenario(const ArgParser &args)
         (void)sim::MachineCatalog::registerFromFile(overridePath);
     scenario::ScenarioSpec spec =
         scenario::ScenarioSpec::fromFile(args.positional("arg"));
-    if (args.has("exact-quantum"))
-        spec.exactQuantum = true;
     scenario::ScenarioRunner runner(std::move(spec));
     inform("running scenario with ", runner.traffic().name(),
            " traffic on ", runner.clusterConfig().totalMachines(),

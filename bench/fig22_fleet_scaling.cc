@@ -111,9 +111,7 @@ main()
     table.print(std::cout);
 
     // Determinism of the threaded runner: the largest configuration,
-    // serial vs. multi-threaded, must produce identical fleet totals —
-    // and the event core must match the epoch oracle bit-for-bit at
-    // both thread counts.
+    // serial vs. multi-threaded, must produce identical fleet totals.
     auto detSpec =
         fleetScenario(16, cluster::DispatchPolicy::WarmthAware,
                       perMachine, ratePerMachine);
@@ -132,25 +130,6 @@ main()
               << " vs " << TextTable::num(
                      threadedReport.billedCpuSeconds, 6)
               << "\n";
-
-    detSpec.scheduler = cluster::SchedulerBackend::Epoch;
-    detSpec.threads = 1;
-    scenario::ScenarioRunner epochSerial(detSpec);
-    const cluster::FleetReport &epochSerialReport = epochSerial.run();
-    detSpec.threads = 8;
-    scenario::ScenarioRunner epochThreaded(detSpec);
-    const cluster::FleetReport &epochThreadedReport =
-        epochThreaded.run();
-    const bool backendsIdentical =
-        cluster::identicalTotals(serialReport, epochSerialReport) &&
-        cluster::identicalTotals(threadedReport, epochThreadedReport);
-    std::cout << "event vs epoch (16 machines, 1 and 8 threads): "
-              << (backendsIdentical ? "identical totals" : "MISMATCH")
-              << "  barriers " << serialReport.sched.barriers
-              << " vs " << epochSerialReport.sched.barriers
-              << " (elided " << serialReport.sched.barriersElided
-              << ", idle quanta skipped "
-              << serialReport.sched.idleQuantaSkipped << ")\n";
 
     bench::printPaperMeasured(
         std::cout,
@@ -172,8 +151,6 @@ main()
     json.metric("", "cold_rate_rr_16", coldRr16);
     json.metric("", "cold_rate_warmth_16", coldWarm16);
     json.metric("", "max_conservation_error", worstConservation);
-    json.metric("", "event_epoch_identical",
-                backendsIdentical ? 1.0 : 0.0);
     const cluster::SchedulerCounters &sc = serialReport.sched;
     json.metric("sched_event", "events_arrival",
                 static_cast<double>(sc.eventsArrival));
@@ -198,7 +175,5 @@ main()
               worstConservation, " relative)");
     if (!deterministic)
         fatal("fig22: threaded fleet runner is not deterministic");
-    if (!backendsIdentical)
-        fatal("fig22: event scheduler diverged from the epoch oracle");
     return 0;
 }

@@ -10,17 +10,14 @@
  *    fast-forward engine should replay essentially every quantum;
  *  - fleet: the fig22 serving path (open-loop Poisson traffic, warm
  *    pools, epoch barriers) on a small fleet, where arrivals, slice
- *    rotations, and completions keep ending steady stretches. The
- *    fleet runs three ways: the exact-quantum epoch oracle, the
- *    fast-forwarding epoch loop, and the event-driven core (idle
- *    machines never stepped) — whose FleetReports must be
- *    bit-identical;
- *  - sparse: the same fleet at a low arrival rate, mostly idle —
- *    the event core's home turf, where the epoch loop still marches
- *    every machine through every quantum and the event queue
- *    fast-forwards between arrivals. This is where the event
- *    scheduler must land within 2x of the steady-state single-machine
- *    fast-forward throughput.
+ *    rotations, and completions keep ending steady stretches. Both
+ *    modes run the one serving loop (idle machines never stepped);
+ *    only the engines' fast-forward differs, and the two
+ *    FleetReports must be bit-identical;
+ *  - sparse: the same fleet at a low arrival rate, mostly idle, run
+ *    with fast-forward only. The loop skips between arrivals, and
+ *    this is where it must land within 2x of the steady-state
+ *    single-machine fast-forward throughput.
  *
  * Reports simulated-seconds-per-wall-second for every mode, solver
  * calls, memo hits, and executed / replayed / idle-skipped quanta,
@@ -30,11 +27,11 @@
  *
  * Always enforced (CI bench-smoke, sanitizer job included): quantum
  * accounting (executed + idle-skipped) must conserve total simulated
- * time to 1e-9, every fleet mode must cover identical quantum counts,
- * and the event-vs-epoch FleetReports must be bit-identical. The
- * >= 5x steady and >= 2x fleet speedup floors — and the event
- * scheduler landing within 2x of the steady-state single-machine
- * fast-forward throughput — are asserted unless LITMUS_BENCH_STRICT=0
+ * time to 1e-9, both fleet modes must cover identical quantum counts,
+ * and their FleetReports must be bit-identical. The >= 5x steady and
+ * >= 2x fleet speedup floors — and the sparse fleet landing within 2x
+ * of the steady-state single-machine fast-forward throughput — are
+ * asserted unless LITMUS_BENCH_STRICT=0
  * (smoke/sanitizer runs, where wall-clock ratios are not meaningful).
  *
  * Knobs: LITMUS_ENGINE_BENCH_SECONDS (steady simulated seconds,
@@ -98,7 +95,7 @@ struct ModeResult
     double simSeconds = 0;    // simulated seconds advanced
     double quanta = 0;        // quanta executed
     double ffQuanta = 0;      // quanta advanced by replay
-    double skipped = 0;       // idle quanta elided (event core)
+    double skipped = 0;       // idle quanta elided (serving loop)
     double solves = 0;        // contention solver invocations
     double memoHits = 0;      // solves served from the memo
     double simPerWall() const { return wall > 0 ? simSeconds / wall : 0; }
@@ -177,7 +174,6 @@ runSteady(bool fast_forward, Seconds sim_seconds)
 
 ModeResult
 runFleet(bool fast_forward, std::uint64_t per_machine, double rate,
-         cluster::SchedulerBackend sched,
          cluster::FleetReport *report_out = nullptr)
 {
     const Seconds quantum = 50e-6;
@@ -191,10 +187,12 @@ runFleet(bool fast_forward, std::uint64_t per_machine, double rate,
     cfg.seed = 7;
     cfg.threads = 1; // serial: the wall-clock ratio measures the
                      // engines, not the host's thread scheduling
-    cfg.scheduler = sched;
-    cfg.exactQuantum = !fast_forward; // true forces the epoch oracle
 
+    // The mode applies to the engines the cluster constructs.
+    const bool previous = sim::Engine::defaultFastForward();
+    sim::Engine::setDefaultFastForward(fast_forward);
     cluster::Cluster fleet(cfg);
+    sim::Engine::setDefaultFastForward(previous);
     ModeResult r;
     r.wall = wallSeconds([&] { fleet.run(); });
     for (unsigned m = 0; m < machines; ++m) {
@@ -273,53 +271,33 @@ main()
         bestOf([&] { return runSteady(false, steadySeconds); });
     const ModeResult steadyFast =
         bestOf([&] { return runSteady(true, steadySeconds); });
-    cluster::FleetReport epochReport, eventReport;
+    cluster::FleetReport exactReport, fastReport;
     const ModeResult fleetExact = bestOf([&] {
-        return runFleet(false, perMachine, ratePerMachine,
-                        cluster::SchedulerBackend::Epoch);
+        return runFleet(false, perMachine, ratePerMachine, &exactReport);
     });
-    const ModeResult fleetEpoch = bestOf([&] {
-        return runFleet(true, perMachine, ratePerMachine,
-                        cluster::SchedulerBackend::Epoch, &epochReport);
-    });
-    const ModeResult fleetEvent = bestOf([&] {
-        return runFleet(true, perMachine, ratePerMachine,
-                        cluster::SchedulerBackend::Event, &eventReport);
+    const ModeResult fleetFast = bestOf([&] {
+        return runFleet(true, perMachine, ratePerMachine, &fastReport);
     });
     const std::uint64_t sparseInv =
         pricing::envOr("LITMUS_SPARSE_INVOCATIONS", 200);
     const double sparseRate = pricing::envOr("LITMUS_SPARSE_RATE", 20);
-    cluster::FleetReport sparseEpochReport, sparseEventReport;
-    const ModeResult sparseEpoch = bestOf([&] {
-        return runFleet(true, sparseInv, sparseRate,
-                        cluster::SchedulerBackend::Epoch,
-                        &sparseEpochReport);
-    });
-    const ModeResult sparseEvent = bestOf([&] {
-        return runFleet(true, sparseInv, sparseRate,
-                        cluster::SchedulerBackend::Event,
-                        &sparseEventReport);
-    });
+    const ModeResult sparse =
+        bestOf([&] { return runFleet(true, sparseInv, sparseRate); });
 
-    // Every mode must have covered the identical quantum count
+    // Both modes must have covered the identical quantum count
     // (executed, replayed, or idle-skipped), and exact mode must never
     // have replayed: otherwise the wall-clock comparison is comparing
     // different amounts of simulation.
     if (steadyExact.quanta != steadyFast.quanta ||
-        fleetExact.covered() != fleetEpoch.covered() ||
-        fleetExact.covered() != fleetEvent.covered() ||
-        sparseEpoch.covered() != sparseEvent.covered())
+        fleetExact.covered() != fleetFast.covered())
         fatal("micro_engine_throughput: modes covered different "
               "quantum counts");
     if (steadyExact.ffQuanta != 0 || fleetExact.ffQuanta != 0)
         fatal("micro_engine_throughput: exact mode replayed quanta");
-    // The tentpole's determinism contract: the event core and the
-    // epoch oracle must produce bit-identical fleet reports, on the
-    // loaded fleet and the sparse one alike.
-    if (!cluster::identicalTotals(eventReport, epochReport) ||
-        !cluster::identicalTotals(sparseEventReport, sparseEpochReport))
-        fatal("micro_engine_throughput: event scheduler diverged from "
-              "the epoch oracle");
+    // Fast-forward must not move a single fleet total.
+    if (!cluster::identicalTotals(fastReport, exactReport))
+        fatal("micro_engine_throughput: fast-forward fleet diverged "
+              "from exact stepping");
     // Deterministic fast-path assertion (independent of wall clock):
     // on a purely steady workload with no observers, everything after
     // the first quantum must take the replay path.
@@ -333,64 +311,51 @@ main()
     addRow(table, "steady", "exact-quantum", steadyExact);
     addRow(table, "steady", "fast-forward", steadyFast);
     addRow(table, "fleet", "exact-quantum", fleetExact);
-    addRow(table, "fleet", "epoch", fleetEpoch);
-    addRow(table, "fleet", "event", fleetEvent);
-    addRow(table, "sparse", "epoch", sparseEpoch);
-    addRow(table, "sparse", "event", sparseEvent);
+    addRow(table, "fleet", "fast-forward", fleetFast);
+    addRow(table, "sparse", "fast-forward", sparse);
     table.print(std::cout);
 
     const double steadySpeedup =
         steadyFast.wall > 0 ? steadyExact.wall / steadyFast.wall : 0;
     const double fleetSpeedup =
-        fleetEvent.wall > 0 ? fleetExact.wall / fleetEvent.wall : 0;
-    const double sparseSpeedup =
-        sparseEvent.wall > 0 ? sparseEpoch.wall / sparseEvent.wall : 0;
-    // The headline acceptance ratio: how close the event-driven
-    // mostly-idle fleet gets to a lone fast-forwarding machine's
-    // sim-seconds-per-wall.
-    const double eventVsSteady =
+        fleetFast.wall > 0 ? fleetExact.wall / fleetFast.wall : 0;
+    // The headline acceptance ratio: how close the mostly-idle fleet
+    // gets to a lone fast-forwarding machine's sim-seconds-per-wall.
+    const double sparseVsSteady =
         steadyFast.simPerWall() > 0
-            ? sparseEvent.simPerWall() / steadyFast.simPerWall()
+            ? sparse.simPerWall() / steadyFast.simPerWall()
             : 0;
 
     bench::printPaperMeasured(
         std::cout,
-        "n/a (engineering target: >= 5x steady, >= 2x fleet, event "
+        "n/a (engineering target: >= 5x steady, >= 2x fleet, sparse "
         "fleet within 2x of steady, bit-identical output)",
         "steady x" + TextTable::num(steadySpeedup, 1) + " (" +
             TextTable::num(steadyFast.simPerWall(), 0) + " vs " +
             TextTable::num(steadyExact.simPerWall(), 0) +
             " sim s/wall s), fleet x" +
-            TextTable::num(fleetSpeedup, 1) + ", sparse event x" +
-            TextTable::num(sparseSpeedup, 1) + " over epoch (at " +
-            TextTable::num(100.0 * eventVsSteady, 1) +
-            "% of steady), replay rate " +
+            TextTable::num(fleetSpeedup, 1) + ", sparse fleet at " +
+            TextTable::num(100.0 * sparseVsSteady, 1) +
+            "% of steady, replay rate " +
             TextTable::num(
                 100.0 * steadyFast.ffQuanta / steadyFast.quanta, 1) +
             "% steady / " +
             TextTable::num(
-                100.0 * fleetEvent.ffQuanta / fleetEvent.quanta, 1) +
+                100.0 * fleetFast.ffQuanta / fleetFast.quanta, 1) +
             "% fleet, idle skipped " +
-            TextTable::num(fleetEvent.skipped, 0) +
+            TextTable::num(fleetFast.skipped, 0) +
             ", solver calls " +
-            TextTable::num(fleetEvent.solves, 0) + " of " +
+            TextTable::num(fleetFast.solves, 0) + " of " +
             TextTable::num(fleetExact.solves, 0));
 
     bench::BenchJson json("BENCH_engine.json");
     jsonScenario(json, "steady", steadyExact, steadyFast);
-    jsonScenario(json, "fleet", fleetExact, fleetEvent);
-    json.metric("fleet", "sim_per_wall_epoch", fleetEpoch.simPerWall());
-    json.metric("fleet", "idle_quanta_skipped", fleetEvent.skipped);
-    json.metric("fleet", "event_epoch_identical", 1.0);
-    json.metric("sparse", "sim_per_wall_epoch",
-                sparseEpoch.simPerWall());
-    json.metric("sparse", "sim_per_wall_event",
-                sparseEvent.simPerWall());
-    json.metric("sparse", "event_speedup_over_epoch", sparseSpeedup);
-    json.metric("sparse", "event_vs_steady_ratio", eventVsSteady);
-    json.metric("sparse", "idle_quanta_skipped", sparseEvent.skipped);
-    json.metric("sparse", "event_epoch_identical", 1.0);
-    const cluster::SchedulerCounters &sc = eventReport.sched;
+    jsonScenario(json, "fleet", fleetExact, fleetFast);
+    json.metric("fleet", "idle_quanta_skipped", fleetFast.skipped);
+    json.metric("sparse", "sim_per_wall_event", sparse.simPerWall());
+    json.metric("sparse", "event_vs_steady_ratio", sparseVsSteady);
+    json.metric("sparse", "idle_quanta_skipped", sparse.skipped);
+    const cluster::SchedulerCounters &sc = fastReport.sched;
     json.metric("fleet_events", "arrival",
                 static_cast<double>(sc.eventsArrival));
     json.metric("fleet_events", "retry",
@@ -414,9 +379,9 @@ main()
         if (fleetSpeedup < 2.0)
             fatal("micro_engine_throughput: fleet speedup ",
                   fleetSpeedup, " below the 2x floor");
-        if (eventVsSteady < 0.5)
-            fatal("micro_engine_throughput: event fleet at ",
-                  eventVsSteady,
+        if (sparseVsSteady < 0.5)
+            fatal("micro_engine_throughput: sparse fleet at ",
+                  sparseVsSteady,
                   " of steady-state throughput — below the within-2x "
                   "floor");
     }

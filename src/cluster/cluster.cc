@@ -1,13 +1,11 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <thread>
 #include <unordered_map>
 
 #include "cluster/epoch_pool.h"
-#include "cluster/event_queue.h"
 #include "common/logging.h"
 #include "core/litmus_probe.h"
 #include "sim/machine_catalog.h"
@@ -15,30 +13,6 @@
 
 namespace litmus::cluster
 {
-
-const char *
-schedulerName(SchedulerBackend backend)
-{
-    switch (backend) {
-    case SchedulerBackend::Epoch:
-        return "epoch";
-    case SchedulerBackend::Event:
-        return "event";
-    }
-    fatal("schedulerName: unknown backend ",
-          static_cast<unsigned>(backend));
-}
-
-SchedulerBackend
-schedulerByName(const std::string &name)
-{
-    if (name == "epoch")
-        return SchedulerBackend::Epoch;
-    if (name == "event")
-        return SchedulerBackend::Event;
-    fatal("unknown scheduler backend '", name,
-          "' — expected 'event' or 'epoch'");
-}
 
 unsigned
 ClusterConfig::totalMachines() const
@@ -312,8 +286,6 @@ Cluster::Cluster(ClusterConfig cfg)
             machines_.push_back(
                 std::make_unique<Machine>(index, machine, cfg_));
             machines_.back()->discountModel = model;
-            if (cfg_.exactQuantum)
-                machines_.back()->engine.setFastForward(false);
         }
     }
     for (const auto &[type, model] : modelsByType) {
@@ -434,7 +406,7 @@ Cluster::dispatch(const Invocation &inv,
         ++report_.coldStarts;
     }
 
-    // An idle machine may lag the fleet grid (the event core never
+    // An idle machine may lag the fleet grid (the serving loop never
     // steps idle engines); land it on the canonical clock before the
     // work arrives. No-op when the engine stepped every quantum.
     if (m.engine.tickCount() < fleetTick_)
@@ -491,13 +463,13 @@ Cluster::harvest(Seconds now)
         m.nextWarmExpiry = std::min(m.nextWarmExpiry, expiry);
     };
 
+    // Reports must not depend on how many epochs one advance spans.
     // Fold completions grouped by covering epoch barrier (ascending),
-    // machines in index order within a barrier — the exact order the
-    // epoch march accumulates fleet totals one barrier at a time, so
-    // a multi-epoch event batch folds bit-identically. Each machine's
-    // buffer is tick-monotone (capture order), so one cursor per
-    // machine suffices; a single-epoch batch has one barrier group
-    // and this degenerates to the plain machine-order fold.
+    // machines in index order within a barrier: a k-epoch advance
+    // then accumulates fleet totals in exactly the order k one-epoch
+    // advances would. Each machine's buffer is tick-monotone (capture
+    // order), so one cursor per machine suffices; a one-epoch advance
+    // has one barrier group and this is the plain machine-order fold.
     const auto barrierOf = [this](std::uint64_t tick) {
         return (tick + epochQuanta_ - 1) / epochQuanta_;
     };
@@ -760,12 +732,12 @@ drainStream(ArrivalStream &stream)
 
 } // namespace
 
-/** Per-run serving state shared by both backends. */
+/** Per-run serving state. */
 struct Cluster::Serve
 {
     explicit Serve(unsigned threads) : pool(threads) {}
 
-    /** The arrival cursor both backends pull lazily; under
+    /** The arrival cursor the loop pulls lazily; under
      *  ClusterConfig::upfrontArrivals a replay of the materialized
      *  trace (same arrivals, O(total) resident). */
     std::unique_ptr<ArrivalStream> stream;
@@ -875,19 +847,13 @@ Cluster::dispatchDue(Serve &s, Seconds now)
 }
 
 Seconds
-Cluster::serveEpoch(Serve &s)
+Cluster::serve(Serve &s)
 {
-    std::uint64_t epochsBatch = 1;
+    const std::vector<FaultEvent> &faultEvents = faultPlan_.events();
+    const Seconds inf = std::numeric_limits<double>::infinity();
     std::vector<std::function<void()>> jobs;
     jobs.reserve(machines_.size());
-    for (const auto &m : machines_) {
-        Machine *machine = m.get();
-        jobs.emplace_back([this, machine, &epochsBatch] {
-            machine->engine.runQuanta(epochsBatch * epochQuanta_);
-        });
-    }
 
-    const std::vector<FaultEvent> &faultEvents = faultPlan_.events();
     while (s.head() != nullptr || !retryQueue_.empty() || anyLive()) {
         // The drain base extends over the peeked head while arrivals
         // remain: the fleet is never "failing to drain" while the
@@ -900,181 +866,77 @@ Cluster::serveEpoch(Serve &s)
             fatal("Cluster::run: fleet failed to drain within ",
                   cfg_.drainCap, " simulated seconds of the last "
                   "arrival");
-        // Idle fast-forward: with no live task anywhere, nothing can
-        // complete and no warm pool can grow, so the next due event —
-        // arrival, retry, or fault transition — is the only
-        // interesting time: run every epoch before it as one batch
-        // (one barrier instead of thousands). The engines still
-        // execute every quantum (cheaply, via their idle replay plan),
-        // keep-alive expiry sweeps are monotone in the clock, and the
-        // conservative floor means the dispatch boundary itself is
-        // reached by normal single-epoch stepping — so totals and
-        // stats stay bit-identical to exact mode. Work already due
-        // but blocked behind a fleet-wide outage or blindness window
-        // contributes no target; the pending fault transition that
-        // unblocks it does.
-        epochsBatch = 1;
-        if (!cfg_.exactQuantum && !anyLive()) {
-            const Seconds inf =
-                std::numeric_limits<double>::infinity();
-            Seconds target = inf;
-            if (const Invocation *head = s.head();
-                head != nullptr && head->arrival > fleetClock_)
-                target = std::min(target, head->arrival);
-            if (!retryQueue_.empty() &&
-                retryQueue_.front().arrival > fleetClock_)
-                target = std::min(target, retryQueue_.front().arrival);
-            if (faultCursor_ < faultEvents.size())
-                target = std::min(target, faultEvents[faultCursor_].at);
-            const double gap = target == inf ? 0 : target - fleetClock_;
-            if (gap > s.epochSpan) {
-                epochsBatch = std::max<std::uint64_t>(
-                    1, static_cast<std::uint64_t>(gap / s.epochSpan));
-            }
-        }
-        const bool live = anyLive();
-        s.pool.run(jobs);
-        // All engines execute the same quantum count, so the canonical
-        // clock (the same fadd sequence) is every machine's clock.
-        advanceFleetEpochs(epochsBatch);
-        ++report_.sched.barriers;
-        if (live)
-            ++report_.sched.eventsProgress;
-        const Seconds now = fleetClock_;
-        harvest(now);
-        // Fault transitions apply at the barrier after their
-        // timestamp — the same granularity as dispatch. Completions
-        // harvested above beat a crash landing at this barrier; a
-        // machine restarting here accepts dispatches immediately.
-        applyFaults(now);
-        dispatchDue(s, now);
-    }
-    return fleetClock_;
-}
 
-Seconds
-Cluster::serveEvent(Serve &s)
-{
-    const std::vector<FaultEvent> &faultEvents = faultPlan_.events();
-    EventQueue queue;
-    std::vector<Event> armed;
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(machines_.size());
-
-    // Conservative barrier-tick estimate for event ordering; dueness
-    // is always decided against the exact accumulated fleet clock, so
-    // an estimate one barrier off cannot move an event.
-    const auto tickEstimate = [this, &s](Seconds time) {
-        return static_cast<std::uint64_t>(
-                   std::ceil(time / s.epochSpan)) *
-               epochQuanta_;
-    };
-
-    while (s.head() != nullptr || !retryQueue_.empty() || anyLive()) {
-        Seconds drainBase = std::max(
-            s.lastArrival, std::max(s.lastFault, latestRetry_));
-        if (const Invocation *pending = s.head())
-            drainBase = std::max(drainBase, pending->arrival);
-        if (fleetClock_ > drainBase + cfg_.drainCap)
-            fatal("Cluster::run: fleet failed to drain within ",
-                  cfg_.drainCap, " simulated seconds of the last "
-                  "arrival");
-
-        // Arm the head event of each class. Only *future* arrivals
-        // and retries arm: work already due but blocked behind a
-        // fleet-wide outage contributes no target (the epoch loop's
-        // rule exactly) — the fault transition that unblocks it does,
-        // and the fault head is always armed. Arming peeks the stream
-        // head without pulling it, so the queue holds one arrival per
-        // stream, never the trace.
-        queue.clear();
-        if (const Invocation *head = s.head();
-            head != nullptr && head->arrival > fleetClock_) {
-            queue.push({tickEstimate(head->arrival),
-                        EventClass::Arrival, 0, head->seq,
-                        head->arrival});
-        }
-        if (!retryQueue_.empty() &&
-            retryQueue_.front().arrival > fleetClock_) {
-            queue.push({tickEstimate(retryQueue_.front().arrival),
-                        EventClass::Retry, 0,
-                        retryQueue_.front().seq,
-                        retryQueue_.front().arrival});
-        }
-        if (faultCursor_ < faultEvents.size()) {
-            const FaultEvent &f = faultEvents[faultCursor_];
-            queue.push({tickEstimate(f.at), EventClass::Fault,
-                        f.machine, faultCursor_, f.at});
-        }
+        // The next event: the earliest exact time over the arrival
+        // head, the retry head, the next fault transition and, while
+        // work is in flight, the fleet-wide earliest keep-alive
+        // expiry. Arrivals and retries already due arm nothing here:
+        // they go out at the next barrier if any machine can take
+        // them, and otherwise wait for the fault transition that
+        // reopens the fleet. An idle fleet's keep-alive sweeps fold
+        // into the next real barrier; the sweep's outcome is the
+        // same either way.
         const bool live = anyLive();
         const bool workPending =
             s.head() != nullptr || !retryQueue_.empty();
-
-        // Keep-alive expiries coalesce lazily: one event for the
-        // fleet-wide earliest expiry; the sweep it triggers clears
-        // everything lapsed at once. Armed only while work is in
-        // flight — an idle fleet's sweeps fold into the next real
-        // barrier (the epoch oracle's own idle-jump rule), and the
-        // sweep's outcome is the same either way.
+        Seconds next = inf;
+        bool due = false;
+        const auto arm = [&](Seconds at) {
+            if (at > fleetClock_)
+                next = std::min(next, at);
+            else
+                due = true;
+        };
+        if (const Invocation *head = s.head())
+            arm(head->arrival);
+        if (!retryQueue_.empty())
+            arm(retryQueue_.front().arrival);
+        if (faultCursor_ < faultEvents.size())
+            next = std::min(next, faultEvents[faultCursor_].at);
         if (live) {
-            Seconds warmMin = std::numeric_limits<double>::infinity();
-            unsigned warmMachine = 0;
-            for (const auto &m : machines_) {
-                if (m->nextWarmExpiry < warmMin) {
-                    warmMin = m->nextWarmExpiry;
-                    warmMachine = m->index;
-                }
-            }
-            if (warmMin > fleetClock_ &&
-                warmMin < std::numeric_limits<double>::infinity()) {
-                queue.push({tickEstimate(warmMin),
-                            EventClass::KeepAlive, warmMachine, 0,
-                            warmMin});
-            }
+            Seconds warmMin = inf;
+            for (const auto &m : machines_)
+                warmMin = std::min(warmMin, m->nextWarmExpiry);
+            if (warmMin > fleetClock_)
+                next = std::min(next, warmMin);
         }
+        const bool dueNow =
+            due && std::any_of(machines_.begin(), machines_.end(),
+                               [](const auto &m) {
+                                   return !m->down && !m->blind;
+                               });
 
         std::uint64_t epochs = 1;
-        if (!queue.empty() && (workPending || !live)) {
-            // The heap pops in deterministic (tick, class, machine,
-            // seq) order; the advance target is the minimum exact
-            // time over the heads (tick estimates are conservative,
-            // so scan rather than trust the head alone).
-            armed.clear();
-            while (!queue.empty())
-                armed.push_back(queue.pop());
-            Seconds target = armed.front().time;
-            for (const Event &e : armed)
-                target = std::min(target, e.time);
+        if (!dueNow && next < inf && (workPending || !live)) {
             if (live) {
-                // Busy machines batch straight to the first barrier
-                // covering the earliest event; every intermediate
-                // barrier is provably a no-op (nothing due, fleet
-                // state frozen between events) and harvest re-folds
-                // the batch's completions in oracle order.
-                epochs = advanceClockToCover(target);
+                // Busy machines advance straight to the first barrier
+                // covering the next event; every barrier in between
+                // is a no-op (nothing due, fleet state frozen between
+                // events) and harvest folds the whole advance as if
+                // it had been taken one epoch at a time.
+                epochs = advanceClockToCover(next);
             } else {
-                // Idle fleet: reproduce the epoch oracle's
-                // conservative jump bit-for-bit — floor(gap/span)
-                // epochs in one batch, then single steps to the
-                // boundary on later iterations. Matching the
-                // oracle's barrier sequence here matters: a trace
-                // arrival due before the first barrier (t=0) is
-                // served at whatever barrier the jump lands on.
-                const double gap = target - fleetClock_;
+                // Idle fleet: jump floor(gap / span) epochs, then
+                // single-step to the covering barrier on later
+                // iterations. Reports must not depend on how many
+                // epochs one advance spans; the floor keeps the jump
+                // short of the event, so the event is served at the
+                // barrier, and on the fleet clock, that one-epoch
+                // stepping reaches.
+                const double gap = next - fleetClock_;
                 if (gap > s.epochSpan)
                     epochs = std::max<std::uint64_t>(
-                        1,
-                        static_cast<std::uint64_t>(gap / s.epochSpan));
+                        1, static_cast<std::uint64_t>(gap / s.epochSpan));
                 advanceFleetEpochs(epochs);
             }
         } else {
-            // Drain phase (live work, nothing left to dispatch):
-            // march one epoch at a time so the loop exits the moment
-            // the fleet drains — exactly when the epoch oracle does,
-            // before any later fault event fires. Also the fallback
-            // when nothing is armed at all (everything due is blocked
-            // and no fault is pending: creep to the drain-cap fatal
-            // on the same barrier the oracle would).
+            // Due work, the drain phase (live work, nothing left to
+            // dispatch), or nothing armed at all (everything due is
+            // blocked and no fault is pending): march one epoch, so
+            // due work goes out at the next barrier, the loop exits
+            // the moment the fleet drains — before any later fault
+            // fires — and a blocked fleet creeps to the drain-cap
+            // fatal.
             advanceFleetEpochs(1);
         }
 
@@ -1096,6 +958,10 @@ Cluster::serveEvent(Serve &s)
         if (live)
             ++report_.sched.eventsProgress;
 
+        // Fault transitions apply at the barrier after their
+        // timestamp — the same granularity as dispatch. Completions
+        // harvested first beat a crash landing at this barrier; a
+        // machine restarting here accepts dispatches immediately.
         const Seconds now = fleetClock_;
         harvest(now);
         applyFaults(now);
@@ -1192,18 +1058,10 @@ Cluster::run()
                       ? 0
                       : faultPlan_.events().back().at;
 
-    // exactQuantum times the true unbatched baseline, so it forces
-    // the epoch oracle regardless of the configured backend.
-    const SchedulerBackend backend = cfg_.exactQuantum
-                                         ? SchedulerBackend::Epoch
-                                         : cfg_.scheduler;
-    report_.sched.scheduler = schedulerName(backend);
-    report_.makespan = backend == SchedulerBackend::Event
-                           ? serveEvent(s)
-                           : serveEpoch(s);
+    report_.makespan = serve(s);
     report_.sched.barriersElided =
         fleetTick_ / epochQuanta_ - report_.sched.barriers;
-    // Both backends pull the stream dry before draining, so pulled
+    // The loop pulls the stream dry before draining, so pulled
     // equals the arrivals served — the same total the materialized
     // trace's size used to report.
     report_.arrivals = s.stream->pulled();
@@ -1239,8 +1097,8 @@ Cluster::run()
         mr.meanLatency =
             m.completions > 0 ? m.latencySum / m.completions : 0.0;
         // Quanta *covered* on the canonical grid: executed plus
-        // idle-elided. Identical across backends (and thread counts)
-        // even though the event core never steps idle engines.
+        // idle-elided. Identical across thread counts even though
+        // the loop never steps idle engines.
         mr.quanta = m.engine.stats().quanta.value() +
                     m.engine.stats().skippedQuanta.value();
         mr.crashes = m.crashes;

@@ -11,20 +11,21 @@
  * through a pluggable Dispatcher, and aggregates per-machine billing
  * into one fleet revenue/discount report.
  *
- * Execution advances between dispatch barriers on the epoch grid:
- * busy engines run on a worker pool (one job per machine, barrier at
- * the end — engines are independent between dispatch decisions, so
- * wall-clock scales with cores), completions are folded back into
+ * Execution advances between dispatch barriers on the epoch grid.
+ * One serving loop takes only the barriers that matter: it advances
+ * straight to the first barrier covering the earliest pending event
+ * (next arrival, next retry, next fault transition, next keep-alive
+ * expiry), stepping busy engines on a worker pool (one job per
+ * machine, barrier at the end — engines are independent between
+ * dispatch decisions, so wall-clock scales with cores) and never
+ * stepping idle machines at all. Completions are folded back into
  * warm pools and ledgers in (barrier, machine) order, and then the
  * cluster (single-threaded) routes the arrivals that came due, using
  * machine snapshots taken at the barrier — an invocation starts at
- * the first epoch boundary at or after its arrival, never early. The
- * default `event` backend only takes the barriers a typed event queue
- * says matter (idle machines are never stepped at all); the `epoch`
- * backend marches every grid barrier and serves as the differential
- * oracle. All cross-thread state is barrier-local, so a fixed seed
- * gives bit-identical fleet totals at any thread count under either
- * backend.
+ * the first epoch boundary at or after its arrival, never early. All
+ * cross-thread state is barrier-local, so a fixed seed gives
+ * bit-identical fleet totals at any thread count;
+ * tests/golden/cluster.txt pins them.
  *
  * Warm containers: every completed invocation leaves one idle warm
  * container behind (keep-alive bounded). A dispatch that finds one
@@ -51,28 +52,6 @@
 
 namespace litmus::cluster
 {
-
-/**
- * Cluster serving-loop backend.
- *
- * `Event` (the default) drives the fleet off a deterministic typed
- * event queue (cluster/event_queue.h): wholly idle machines cost
- * nothing between events and busy machines fast-forward to the next
- * event barrier. `Epoch` is the original fixed-epoch march, kept as
- * the differential-testing oracle — fleet reports are bit-identical
- * between the two at any thread count, including under chaos.
- */
-enum class SchedulerBackend : std::uint8_t
-{
-    Epoch,
-    Event,
-};
-
-/** Lower-case backend name ("epoch" / "event"). */
-const char *schedulerName(SchedulerBackend backend);
-
-/** Parse a backend name; fatal() on anything else. */
-SchedulerBackend schedulerByName(const std::string &name);
 
 /** One homogeneous slice of a (possibly mixed) fleet. */
 struct MachineGroup
@@ -126,12 +105,6 @@ struct ClusterConfig
     /** @} */
 
     /** @name Serving model @{ */
-    /**
-     * Serving-loop backend; `exactQuantum` forces `Epoch` (the exact
-     * path exists to time the unbatched baseline).
-     */
-    SchedulerBackend scheduler = SchedulerBackend::Event;
-
     /** Dispatch epoch: barrier period between routing decisions. */
     Seconds epoch = 1e-3;
 
@@ -147,14 +120,6 @@ struct ClusterConfig
      * are identical at every setting.
      */
     unsigned threads = 0;
-
-    /**
-     * A/B escape hatch (--exact-quantum): disable the engines'
-     * steady-state fast-forward and the cluster's batched idle-epoch
-     * stepping. Fleet totals are bit-identical either way; exact mode
-     * exists for differential validation and baseline timing.
-     */
-    bool exactQuantum = false;
 
     /**
      * Simulated seconds the fleet may keep running past the last
@@ -235,8 +200,7 @@ struct MachineReport
     double meanLatency = 0;
 
     /** Quanta the machine covered on the canonical fleet grid:
-     *  executed plus idle-elided (event core). Identical across
-     *  backends and thread counts. */
+     *  executed plus idle-elided. Identical across thread counts. */
     double quanta = 0;
 
     /** @name Failure accounting (fault injection) @{ */
@@ -294,18 +258,14 @@ struct TypeReport
 };
 
 /**
- * Scheduler observability: what the serving loop actually did. Both
- * backends fill the shared-path counters (arrival/retry/fault/
- * keep-alive events flow through the same dispatch/harvest code);
- * idle-skip and barrier-elision are where the event core's win shows.
- * Never part of the bit-identity contract — the two backends take
- * different barriers by design — so identicalTotals() ignores this.
+ * Scheduler observability: what the serving loop actually did —
+ * events processed by class, idle quanta elided, barriers taken and
+ * skipped. Never part of the bit-identity contract (which barriers
+ * the loop takes is an implementation choice the reports must not
+ * depend on), so identicalTotals() ignores this.
  */
 struct SchedulerCounters
 {
-    /** Backend that produced the report ("epoch" / "event"). */
-    std::string scheduler;
-
     /** @name Events processed, by class @{ */
     std::uint64_t eventsFault = 0;     ///< fault transitions applied
     std::uint64_t eventsArrival = 0;   ///< trace arrivals dispatched
@@ -495,17 +455,14 @@ class Cluster
   private:
     struct Machine;
 
-    /** Per-run serving state shared by both backends (cluster.cc). */
+    /** Per-run serving state (cluster.cc). */
     struct Serve;
 
     /**
-     * Serve the trace on the fixed-epoch march (the differential
-     * oracle); returns the final fleet clock (makespan).
+     * Serve the trace barrier to barrier until the fleet drains;
+     * returns the final fleet clock (makespan).
      */
-    Seconds serveEpoch(Serve &s);
-
-    /** Serve the trace on the event queue; returns the makespan. */
-    Seconds serveEvent(Serve &s);
+    Seconds serve(Serve &s);
 
     /** True while any engine owns a live task. */
     bool anyLive() const;
@@ -540,11 +497,12 @@ class Cluster
 
     /**
      * Fold buffered completions into warm pools and ledgers, then
-     * sweep lapsed keep-alives. Completions are folded grouped by
+     * sweep lapsed keep-alives. Reports must not depend on how many
+     * epochs one advance spans, so completions are folded grouped by
      * their covering epoch barrier (ascending), machines in index
-     * order within a barrier — exactly the order the epoch march
-     * produces one barrier at a time — so the floating-point
-     * accumulation order of fleet totals is backend-independent.
+     * order within a barrier: an advance over k epochs accumulates
+     * fleet totals in the same floating-point order as k one-epoch
+     * advances.
      */
     void harvest(Seconds now);
 

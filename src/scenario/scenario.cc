@@ -158,10 +158,6 @@ ScenarioSpec::set(const std::string &key, const std::string &value)
     } else if (key == "threads") {
         threads = static_cast<unsigned>(
             parseLongAtLeast(key, value, 0));
-    } else if (key == "scheduler") {
-        scheduler = cluster::schedulerByName(value);
-    } else if (key == "exact_quantum") {
-        exactQuantum = parseBool(key, value);
     } else if (key == "drain_cap") {
         drainCap = parseDouble(key, value);
     } else if (key == "calibrate") {
@@ -224,7 +220,7 @@ ScenarioSpec::knownKeys()
             "burst.idle_fraction", "burst.off", "burst.on",
             "calibrate", "calibration_levels", "diurnal.amplitude",
             "diurnal.period", "diurnal.phase", "drain_cap", "duration",
-            "epoch_us", "exact_quantum", "fault.billing",
+            "epoch_us", "fault.billing",
             "fault.blind.at", "fault.blind.duration",
             "fault.blind.mtbf", "fault.crash.at", "fault.crash.mtbf",
             "fault.crash.restart", "fault.retry",
@@ -232,7 +228,7 @@ ScenarioSpec::knownKeys()
             "fault.slow.at", "fault.slow.duration",
             "fault.slow.factor", "fault.slow.mtbf", "fleet",
             "functions", "invocations", "keepalive", "policy",
-            "probes", "rate", "scheduler", "seed", "sharing_factor",
+            "probes", "rate", "seed", "sharing_factor",
             "tables",
             "tables_out", "threads", "trace.path", "trace.rate_scale",
             "traffic"};

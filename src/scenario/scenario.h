@@ -77,9 +77,6 @@ struct ScenarioSpec
     Seconds epoch = 1e-3;
     Seconds keepAlive = 10.0;
     unsigned threads = 0;
-    cluster::SchedulerBackend scheduler =
-        cluster::SchedulerBackend::Event;
-    bool exactQuantum = false;
     Seconds drainCap = 600.0;
 
     /** A/B escape hatch (`arrivals = upfront`): materialize the

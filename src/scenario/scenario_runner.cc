@@ -50,8 +50,6 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
     cfg_.epoch = spec_.epoch;
     cfg_.keepAlive = spec_.keepAlive;
     cfg_.threads = spec_.threads;
-    cfg_.scheduler = spec_.scheduler;
-    cfg_.exactQuantum = spec_.exactQuantum;
     cfg_.drainCap = spec_.drainCap;
     cfg_.upfrontArrivals = spec_.upfrontArrivals;
     cfg_.sharingFactor = spec_.sharingFactor;
@@ -205,13 +203,13 @@ printFleetReport(std::ostream &os, const cluster::FleetReport &report)
     // Scheduler-core footer: how the serving loop spent its barriers.
     // Diagnostic only — never part of the bit-identity contract.
     const cluster::SchedulerCounters &sched = report.sched;
-    os << "scheduler " << sched.scheduler << "  barriers "
-       << sched.barriers << " (elided " << sched.barriersElided
-       << ")  idle quanta skipped " << sched.idleQuantaSkipped
-       << "  events arrival " << sched.eventsArrival << " retry "
-       << sched.eventsRetry << " fault " << sched.eventsFault
-       << " keepalive " << sched.eventsKeepAlive << " progress "
-       << sched.eventsProgress << "\n";
+    os << "barriers " << sched.barriers << " (elided "
+       << sched.barriersElided << ")  idle quanta skipped "
+       << sched.idleQuantaSkipped << "  events arrival "
+       << sched.eventsArrival << " retry " << sched.eventsRetry
+       << " fault " << sched.eventsFault << " keepalive "
+       << sched.eventsKeepAlive << " progress " << sched.eventsProgress
+       << "\n";
 
     // Arrival-flow footer: how the traffic source fed the fleet.
     // Diagnostic only — never part of the bit-identity contract.

@@ -309,13 +309,12 @@ class ClusterDifferential : public ::testing::TestWithParam<Seconds>
 TEST_P(ClusterDifferential, TotalsIdenticalAcrossModes)
 {
     // The whole fleet path: Poisson arrivals, warm pools, keep-alive
-    // expiry, epoch batching. Billing and serving totals must be
-    // bit-identical with and without fast-forward (which also covers
-    // the cluster's batched idle-epoch stepping). The second epoch
-    // parameter is deliberately not a whole number of quanta: each
-    // epoch then advances more than cfg.epoch, and the idle batch must
-    // be computed against the covering-quantum span or fast mode
-    // overshoots arrivals that exact mode dispatches earlier.
+    // expiry, multi-epoch advances. Billing and serving totals must
+    // be bit-identical with and without engine fast-forward. The
+    // second epoch parameter is deliberately not a whole number of
+    // quanta: each epoch then advances more than cfg.epoch, and the
+    // idle jump must be computed against the covering-quantum span or
+    // the loop overshoots arrivals.
     auto runFleet = [](bool exact, Seconds epoch) {
         cluster::ClusterConfig cfg;
         cfg.fleet = {{"cascade-5218", 2}};
@@ -326,8 +325,12 @@ TEST_P(ClusterDifferential, TotalsIdenticalAcrossModes)
         cfg.seed = 11;
         cfg.threads = 1;
         cfg.epoch = epoch;
-        cfg.exactQuantum = exact;
+        // Engines take the process-wide default when the cluster
+        // builds them; restore it before anything else is built.
+        const bool previous = Engine::defaultFastForward();
+        Engine::setDefaultFastForward(!exact);
         cluster::Cluster fleet(cfg);
+        Engine::setDefaultFastForward(previous);
         return fleet.run();
     };
     const cluster::FleetReport exact = runFleet(true, GetParam());
@@ -353,6 +356,62 @@ TEST_P(ClusterDifferential, TotalsIdenticalAcrossModes)
 
 INSTANTIATE_TEST_SUITE_P(Epochs, ClusterDifferential,
                          ::testing::Values(1e-3, 130e-6));
+
+TEST(EngineSkipIdle, MatchesSteppedIdleQuanta)
+{
+    // skipIdleQuanta() is the serving loop's O(1) stand-in for
+    // stepping an idle machine: it must land on the same clock and
+    // tick as runQuanta(), and leave the engine in a state where the
+    // next task runs exactly as it would after stepping.
+    const MachineConfig cfg = MachineCatalog::get("cascade-5218");
+    Engine stepped(cfg);
+    Engine skipped(cfg);
+    const std::uint64_t n = 1234;
+    stepped.runQuanta(n);
+    skipped.skipIdleQuanta(n, stepped.now());
+    EXPECT_EQ(skipped.now(), stepped.now());
+    EXPECT_EQ(skipped.tickCount(), stepped.tickCount());
+    EXPECT_EQ(skipped.stats().skippedQuanta.value(),
+              static_cast<double>(n));
+    EXPECT_EQ(stepped.stats().quanta.value(), static_cast<double>(n));
+
+    std::vector<TaskCounters> counters;
+    std::vector<Seconds> times;
+    for (Engine *engine : {&stepped, &skipped}) {
+        Rng rng(7);
+        Task &task = engine->add(randomTask(rng, cfg.hwThreads(), 0));
+        const std::uint64_t id = task.id();
+        engine->onCompletion([&](Task &t) {
+            if (t.id() == id) {
+                counters.push_back(t.counters());
+                times.push_back(t.completionTime());
+            }
+        });
+        engine->runUntilIdle();
+    }
+    ASSERT_EQ(counters.size(), 2u);
+    expectSameCounters(counters[0], counters[1]);
+    EXPECT_EQ(times[0], times[1]);
+    EXPECT_EQ(skipped.now(), stepped.now());
+    EXPECT_EQ(skipped.tickCount(), stepped.tickCount());
+}
+
+TEST(EngineSkipIdleDeath, RefusesLiveTasks)
+{
+    Engine engine(MachineCatalog::get("cascade-5218"));
+    engine.add(std::make_unique<workload::EndlessTask>(
+        "g", ResourceDemand{}));
+    EXPECT_EXIT(engine.skipIdleQuanta(10, 10 * engine.quantum()),
+                ::testing::ExitedWithCode(1), "tasks still live");
+}
+
+TEST(EngineSkipIdleDeath, RefusesQuantumObservers)
+{
+    Engine engine(MachineCatalog::get("cascade-5218"));
+    engine.onQuantum([](Seconds, const SharedState &) {});
+    EXPECT_EXIT(engine.skipIdleQuanta(10, 10 * engine.quantum()),
+                ::testing::ExitedWithCode(1), "per-quantum observers");
+}
 
 TEST(EngineFastForward, ExactQuantumFlagDisablesReplay)
 {

@@ -1,17 +1,18 @@
 /**
  * @file
- * Differential suite for the event-driven cluster core: the event
- * scheduler must reproduce the fixed-epoch oracle bit-for-bit —
- * every FleetReport field, every per-machine slice, every billing
- * ledger record — across traffic models, mixed fleets, chaos
- * campaigns, and worker-thread counts.
+ * Metamorphic suite for the cluster serving loop: every FleetReport
+ * field, every per-machine slice, and every billing ledger record
+ * must be bit-identical with engine fast-forward on and off (exact
+ * quantum stepping is the reference) and at every worker-thread
+ * count, across traffic models, mixed fleets, and chaos campaigns.
+ * Also checks that the loop elides idle work and never holds due
+ * work for a later event.
  *
- * The epoch backend is kept alive precisely to serve as this oracle:
- * any divergence here means the event queue dispatched, harvested,
- * or accumulated in a different order than the epoch march, which
- * would silently move billing totals.
+ * The outputs themselves are pinned by the golden digests in
+ * test_golden_digests.cc.
  */
 
+#include <cmath>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 
 #include "cluster/cluster.h"
 #include "scenario/scenario_runner.h"
+#include "sim/engine.h"
 #include "sim/machine_catalog.h"
 
 namespace litmus
@@ -36,7 +38,7 @@ writeTempFile(const std::string &name, const std::string &text)
     return path;
 }
 
-/** One backend's complete observable outcome. */
+/** One run's complete observable outcome. */
 struct RunOutcome
 {
     cluster::FleetReport report;
@@ -44,15 +46,20 @@ struct RunOutcome
     std::vector<std::vector<pricing::BillRecord>> ledgers;
 };
 
+/** Run @p spec; @p exact turns engine fast-forward off for the run. */
 RunOutcome
-runWith(scenario::ScenarioSpec spec, cluster::SchedulerBackend sched,
-        unsigned threads = 1)
+runWith(scenario::ScenarioSpec spec, unsigned threads = 1,
+        bool exact = false)
 {
-    spec.scheduler = sched;
     spec.threads = threads;
     scenario::ScenarioRunner runner(std::move(spec));
+    // The fleet's engines are built inside run().
+    const bool previous = sim::Engine::defaultFastForward();
+    if (exact)
+        sim::Engine::setDefaultFastForward(false);
     RunOutcome out;
     out.report = runner.run();
+    sim::Engine::setDefaultFastForward(previous);
     for (std::size_t m = 0; m < out.report.machines.size(); ++m)
         out.ledgers.push_back(
             runner.cluster().ledger(static_cast<unsigned>(m)).records());
@@ -61,8 +68,8 @@ runWith(scenario::ScenarioSpec spec, cluster::SchedulerBackend sched,
 
 /**
  * Bit-exact comparison of everything a run reports. SchedulerCounters
- * are deliberately excluded — the two backends take different
- * barriers by design; that is the entire point.
+ * are deliberately excluded: exact stepping and fast-forward take the
+ * same barriers, but the counters are not part of what is billed.
  */
 void
 expectIdentical(const RunOutcome &a, const RunOutcome &b)
@@ -163,24 +170,29 @@ baseSpec(const std::string &extra = "")
         extra);
 }
 
+/** Fast-forward on must bill exactly what exact stepping bills. */
+void
+expectFastForwardInvariant(const scenario::ScenarioSpec &spec)
+{
+    expectIdentical(runWith(spec), runWith(spec, 1, true));
+}
+
 // ---- traffic models --------------------------------------------------
 
 TEST(EventCoreDifferential, PoissonBitIdentical)
 {
     const auto spec = baseSpec();
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectFastForwardInvariant(spec);
 }
 
 TEST(EventCoreDifferential, DiurnalBitIdentical)
 {
-    // fig24-style load swing: deep idle troughs exercise the event
-    // core's idle fast-forward against the oracle's floor jump.
+    // fig24-style load swing: deep idle troughs exercise the
+    // idle-fleet floor jump.
     const auto spec = baseSpec("traffic = diurnal\n"
                                "diurnal.period = 0.4\n"
                                "diurnal.amplitude = 0.95\n");
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectFastForwardInvariant(spec);
 }
 
 TEST(EventCoreDifferential, BurstBitIdentical)
@@ -189,15 +201,13 @@ TEST(EventCoreDifferential, BurstBitIdentical)
                                "burst.on = 0.05\n"
                                "burst.off = 0.2\n"
                                "burst.idle_fraction = 0.02\n");
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectFastForwardInvariant(spec);
 }
 
 TEST(EventCoreDifferential, TraceReplayBitIdentical)
 {
     // Includes a t=0 arrival (due before the first barrier) and long
-    // gaps — the two shapes that force the oracle's conservative idle
-    // jump to be reproduced exactly.
+    // gaps between bursts.
     const std::string tracePath = writeTempFile(
         "event_core_trace.csv", "0.0,float-py\n"
                                 "0.001,aes-go\n"
@@ -207,8 +217,7 @@ TEST(EventCoreDifferential, TraceReplayBitIdentical)
                                 "1.75,\n");
     const auto spec = baseSpec("traffic = trace\n"
                                "trace.path = " + tracePath + "\n");
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectFastForwardInvariant(spec);
 }
 
 // ---- fleets ----------------------------------------------------------
@@ -225,8 +234,7 @@ TEST(EventCoreDifferential, MixedFleetBitIdentical)
         "keepalive = 0.1\n"
         "functions = test\n"
         "seed = 3\n");
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectFastForwardInvariant(spec);
 }
 
 // ---- chaos -----------------------------------------------------------
@@ -235,7 +243,7 @@ TEST(EventCoreDifferential, ChaosProviderAbsorbsBitIdentical)
 {
     // fig25-style campaign: stochastic crashes with backoff retries.
     // Restart transitions, kill/retry accounting, and absorbed-work
-    // conservation all must survive the backend swap.
+    // conservation all must survive exact stepping.
     const auto spec = baseSpec("fault.crash.mtbf = 0.4\n"
                                "fault.crash.restart = 0.05\n"
                                "fault.retry = backoff\n"
@@ -243,15 +251,14 @@ TEST(EventCoreDifferential, ChaosProviderAbsorbsBitIdentical)
                                "fault.retry.backoff = 0.02\n"
                                "fault.billing = provider-absorbs\n"
                                "fault.seed = 5\n");
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectFastForwardInvariant(spec);
 }
 
 TEST(EventCoreDifferential, ChaosTenantPaysScriptedBitIdentical)
 {
     // Scripted crashes and slowdowns at fixed times under tenant-pays
-    // billing: fault events must fire at the same barrier in both
-    // backends even when the fleet is wholly idle around them.
+    // billing: fault events must fire at the same barrier either way
+    // even when the fleet is wholly idle around them.
     const auto spec = baseSpec("fault.crash.at = 0.05@0;0.11@2\n"
                                "fault.crash.restart = 0.04\n"
                                "fault.slow.at = 0.08@1\n"
@@ -259,8 +266,7 @@ TEST(EventCoreDifferential, ChaosTenantPaysScriptedBitIdentical)
                                "fault.slow.factor = 0.5\n"
                                "fault.retry = retry-once\n"
                                "fault.billing = tenant-pays\n");
-    expectIdentical(runWith(spec, cluster::SchedulerBackend::Event),
-                    runWith(spec, cluster::SchedulerBackend::Epoch));
+    expectFastForwardInvariant(spec);
 }
 
 // ---- threads ---------------------------------------------------------
@@ -268,16 +274,9 @@ TEST(EventCoreDifferential, ChaosTenantPaysScriptedBitIdentical)
 TEST(EventCoreDifferential, ThreadCountInvariant)
 {
     const auto spec = baseSpec();
-    const RunOutcome serial =
-        runWith(spec, cluster::SchedulerBackend::Event, 1);
-    for (unsigned threads : {4u, 16u}) {
-        expectIdentical(
-            serial,
-            runWith(spec, cluster::SchedulerBackend::Event, threads));
-        expectIdentical(
-            serial,
-            runWith(spec, cluster::SchedulerBackend::Epoch, threads));
-    }
+    const RunOutcome serial = runWith(spec, 1);
+    for (unsigned threads : {4u, 16u})
+        expectIdentical(serial, runWith(spec, threads));
 }
 
 // ---- counters --------------------------------------------------------
@@ -285,36 +284,56 @@ TEST(EventCoreDifferential, ThreadCountInvariant)
 TEST(EventCoreCounters, EventCoreSkipsIdleWork)
 {
     // A sparse trace leaves the fleet idle for long stretches: the
-    // event core must elide idle quanta and barriers while the epoch
-    // oracle takes every grid barrier; the shared-path event counters
-    // must agree between backends.
+    // loop must elide idle quanta and barriers, and the barriers it
+    // takes plus the ones it elides must tile the whole grid.
     const std::string tracePath = writeTempFile(
         "event_core_sparse.csv", "0.01,float-py\n"
                                  "0.8,aes-go\n"
                                  "1.9,float-py\n");
     const auto spec = baseSpec("traffic = trace\n"
                                "trace.path = " + tracePath + "\n");
-    const RunOutcome event =
-        runWith(spec, cluster::SchedulerBackend::Event);
-    const RunOutcome epoch =
-        runWith(spec, cluster::SchedulerBackend::Epoch);
-    expectIdentical(event, epoch);
+    const cluster::FleetReport report = runWith(spec).report;
+    const cluster::SchedulerCounters &sched = report.sched;
 
-    EXPECT_EQ(event.report.sched.scheduler, "event");
-    EXPECT_EQ(epoch.report.sched.scheduler, "epoch");
-    EXPECT_GT(event.report.sched.idleQuantaSkipped, 0u);
-    EXPECT_EQ(epoch.report.sched.idleQuantaSkipped, 0u);
-    EXPECT_LE(event.report.sched.barriers, epoch.report.sched.barriers);
-    EXPECT_EQ(event.report.sched.barriers +
-                  event.report.sched.barriersElided,
-              epoch.report.sched.barriers +
-                  epoch.report.sched.barriersElided);
-    EXPECT_EQ(event.report.sched.eventsArrival,
-              epoch.report.sched.eventsArrival);
-    EXPECT_EQ(event.report.sched.eventsRetry,
-              epoch.report.sched.eventsRetry);
-    EXPECT_EQ(event.report.sched.eventsFault,
-              epoch.report.sched.eventsFault);
+    EXPECT_GT(sched.idleQuantaSkipped, 0u);
+    EXPECT_GT(sched.barriersElided, 0u);
+    const double epochQuanta = std::round(
+        spec.epoch / sim::MachineCatalog::get("cascade-5218").quantum);
+    for (const cluster::MachineReport &m : report.machines)
+        EXPECT_EQ(static_cast<double>(sched.barriers +
+                                      sched.barriersElided) *
+                      epochQuanta,
+                  m.quanta)
+            << "machine " << m.index;
+    EXPECT_EQ(sched.eventsArrival, 3u);
+    EXPECT_EQ(sched.eventsRetry, 0u);
+    EXPECT_EQ(sched.eventsFault, 0u);
+}
+
+// ---- dispatch timing -------------------------------------------------
+
+TEST(EventCoreDispatch, TimeZeroArrivalIsNotHeldForAFault)
+{
+    // An arrival due at t=0 is already due before the first barrier.
+    // It must go out at that barrier, not wait for the next armed
+    // event: here a crash at t=5 s that the fleet drains long before.
+    const std::string tracePath = writeTempFile(
+        "event_core_t0.csv", "0.0,float-py\n"
+                             "0.002,aes-go\n");
+    const auto spec = baseSpec("traffic = trace\n"
+                               "trace.path = " + tracePath + "\n");
+    auto faulted = spec;
+    faulted.set("fault.crash.at", "5@2");
+    faulted.set("fault.crash.restart", "0.1");
+
+    const RunOutcome plain = runWith(spec);
+    const RunOutcome run = runWith(faulted);
+    EXPECT_EQ(run.report.dispatched, 2u);
+    EXPECT_EQ(run.report.completions, 2u);
+    EXPECT_LT(run.report.makespan, 1.0);
+    EXPECT_EQ(run.report.sched.eventsFault, 0u);
+    EXPECT_EQ(run.report.sched.barriers, plain.report.sched.barriers);
+    expectIdentical(plain, run);
 }
 
 // ---- quantum agreement (config-time validation) ----------------------

@@ -584,8 +584,6 @@ TEST(FaultScenario, EveryKnownKeyIsSettable)
             return "all";
         if (key == "policy")
             return "round-robin";
-        if (key == "scheduler")
-            return "event";
         if (key == "traffic")
             return "poisson";
         if (key == "trace.path")

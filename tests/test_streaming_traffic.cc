@@ -4,8 +4,8 @@
  * lazily pulled arrivals must reproduce the materialized-upfront
  * oracle bit-for-bit — every FleetReport field, every per-machine
  * ledger record — for every built-in model (poisson / diurnal /
- * burst / trace / azure), at every thread count, on both scheduler
- * backends, and under a chaos campaign.
+ * burst / trace / azure), at every thread count, and under a chaos
+ * campaign.
  *
  * Also covers the ArrivalStream contract itself (peek/next, seq
  * numbering, flow counters, ordering and null-spec enforcement, the
@@ -63,8 +63,8 @@ drain(ArrivalStream &stream)
 
 // ---- streaming vs upfront differential -------------------------------
 
-/** One run's complete observable outcome (test_event_core's harness,
- *  pointed at the delivery-mode axis instead of the backend axis). */
+/** One run's complete observable outcome: the report and every
+ *  machine's ledger records. */
 struct RunOutcome
 {
     cluster::FleetReport report;
@@ -72,13 +72,10 @@ struct RunOutcome
 };
 
 RunOutcome
-runWith(scenario::ScenarioSpec spec, bool upfront, unsigned threads,
-        cluster::SchedulerBackend sched =
-            cluster::SchedulerBackend::Event)
+runWith(scenario::ScenarioSpec spec, bool upfront, unsigned threads)
 {
     spec.upfrontArrivals = upfront;
     spec.threads = threads;
-    spec.scheduler = sched;
     scenario::ScenarioRunner runner(std::move(spec));
     RunOutcome out;
     out.report = runner.run();
@@ -157,8 +154,7 @@ expectIdentical(const RunOutcome &a, const RunOutcome &b)
 }
 
 /** The full delivery-mode matrix for one spec: streaming must equal
- *  upfront at 1 and 16 threads, survive 4/16-thread streaming, and
- *  agree with the epoch oracle while streaming. */
+ *  upfront at 1 and 16 threads and survive 4/16-thread streaming. */
 void
 checkStreamingMatrix(const scenario::ScenarioSpec &spec)
 {
@@ -170,8 +166,6 @@ checkStreamingMatrix(const scenario::ScenarioSpec &spec)
     expectIdentical(serial, runWith(spec, false, 4));
     expectIdentical(serial, runWith(spec, false, 16));
     expectIdentical(serial, runWith(spec, true, 16));
-    expectIdentical(serial, runWith(spec, false, 1,
-                                    cluster::SchedulerBackend::Epoch));
 }
 
 scenario::ScenarioSpec

@@ -393,7 +393,6 @@ TEST(ScenarioSpec, ParsesEveryKey)
         "epoch_us = 500\n"
         "keepalive = 5\n"
         "threads = 3\n"
-        "exact_quantum = yes\n"
         "drain_cap = 120\n"
         "sharing_factor = 1.5\n"
         "probes = true\n");
@@ -411,7 +410,6 @@ TEST(ScenarioSpec, ParsesEveryKey)
     EXPECT_EQ(spec.seed, 99u);
     EXPECT_DOUBLE_EQ(spec.epoch, 500e-6);
     EXPECT_EQ(spec.threads, 3u);
-    EXPECT_TRUE(spec.exactQuantum);
     ASSERT_TRUE(spec.probes.has_value());
     EXPECT_TRUE(*spec.probes);
     spec.validate();
@@ -469,6 +467,19 @@ TEST(ScenarioSpecDeath, MalformedScenarios)
                 ::testing::ExitedWithCode(1), "nope-py");
     EXPECT_EXIT((void)ScenarioSpec::fromFile("/nonexistent.scenario"),
                 ::testing::ExitedWithCode(1), "");
+}
+
+TEST(ScenarioSpecDeath, RetiredSchedulerKeyNamesFileAndLine)
+{
+    // One serving loop remains, so `scheduler` is an unknown key like
+    // any other; the fatal points at the line that still sets it.
+    const std::string path = writeTempFile(
+        "retired_scheduler.scenario", "fleet = cascade-5218:1\n"
+                                      "scheduler = epoch\n");
+    EXPECT_EXIT((void)ScenarioSpec::fromFile(path),
+                ::testing::ExitedWithCode(1),
+                "retired_scheduler\\.scenario:2: unknown scenario key "
+                "'scheduler'");
 }
 
 // ---- runner equivalence with the legacy fleet path --------------------
