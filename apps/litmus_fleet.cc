@@ -77,11 +77,6 @@ main(int argc, char **argv)
                    "0")
         .addOption("azure-rate-scale",
                    "azure replay speedup: 2 = twice as fast", "1")
-        .addOption("arrivals",
-                   "arrival delivery: streaming (bounded memory) | "
-                   "upfront (materialize the whole trace; A/B "
-                   "validation, bit-identical reports)",
-                   "streaming")
         .addOption("seed", "trace and jitter seed", "1")
         .addOption("epoch-us", "dispatch epoch in microseconds", "1000")
         .addOption("keepalive", "warm-container keep-alive (s)", "10")
@@ -181,7 +176,6 @@ main(int argc, char **argv)
     overlay("azure-file", "azure.path");
     overlay("azure-max-rows", "azure.max_rows");
     overlay("azure-rate-scale", "azure.rate_scale");
-    overlay("arrivals", "arrivals");
     overlay("seed", "seed");
     overlay("epoch-us", "epoch_us");
     overlay("keepalive", "keepalive");

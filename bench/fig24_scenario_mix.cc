@@ -14,8 +14,6 @@
  * Always enforced:
  *  - every model is seed-deterministic under threading: serial and
  *    8-worker runs produce bit-identical fleet reports;
- *  - a poisson scenario through the ScenarioRunner is bit-identical
- *    to the legacy path (ClusterConfig's built-in Poisson source);
  *  - fleet billing conservation (<= 1e-6) for every model.
  *
  * Knobs: LITMUS_FLEET_INVOCATIONS (arrivals per machine, default
@@ -145,18 +143,19 @@ main()
             relativeError(report.billedCpuSeconds,
                           report.sumMachineBilledSeconds()));
 
-        // Mean rate the model actually realized: regenerate the
-        // arrival trace (same seed => identical stream to the run)
-        // and measure count over its span — the post-drain makespan
-        // would understate it.
-        Rng traceRng(spec.seed);
-        const auto arrivals =
-            scenario::makeTrafficModel(spec.traffic)
-                ->generate(traceRng, spec.functionPool());
-        const double traceSpan =
-            arrivals.back().arrival > 0 ? arrivals.back().arrival : 1.0;
+        // Mean rate the model actually realized: pull the run's
+        // arrival stream again (same arrival seed => identical
+        // stream) and measure count over its span — the post-drain
+        // makespan would understate it.
+        Rng traceRng(cluster::deriveArrivalSeed(spec.seed));
+        const auto stream = serial.traffic().open(
+            traceRng, serial.clusterConfig().functionPool);
+        cluster::Invocation last;
+        while (stream->next(last)) {
+        }
+        const double traceSpan = last.arrival > 0 ? last.arrival : 1.0;
         const double empirical =
-            static_cast<double>(arrivals.size()) / traceSpan;
+            static_cast<double>(stream->pulled()) / traceSpan;
 
         commercialSum += report.commercialUsd;
         litmusSum += report.litmusUsd;
@@ -179,22 +178,7 @@ main()
         json.metric(model, "deterministic", deterministic ? 1 : 0);
     }
 
-    // The legacy path (built-in Poisson source, no traffic model)
-    // must be bit-identical to the poisson scenario at the same seed.
-    auto poissonSpec = baseScenario("poisson");
-    poissonSpec.threads = 1;
-    scenario::ScenarioRunner viaRunner(poissonSpec);
-    const cluster::FleetReport &runnerReport = viaRunner.run();
-    cluster::ClusterConfig legacy = viaRunner.clusterConfig();
-    legacy.traffic = nullptr;
-    cluster::Cluster legacyFleet(legacy);
-    const bool poissonEquivalent =
-        identicalTotals(runnerReport, legacyFleet.run());
-
     table.print(std::cout);
-    std::cout << "\npoisson scenario vs legacy inline source: "
-              << (poissonEquivalent ? "identical reports" : "MISMATCH")
-              << "\n";
 
     const double aggregateDiscount =
         commercialSum > 0 ? 1.0 - litmusSum / commercialSum : 0.0;
@@ -202,8 +186,7 @@ main()
         std::cout,
         "n/a (scenario extension; the paper bills under synthetic "
         "steady-state only) — expect every model deterministic under "
-        "threading and the poisson plugin identical to the legacy "
-        "source",
+        "threading",
         "aggregate discount " +
             TextTable::num(100 * aggregateDiscount, 1) +
             "% across 4 traffic models, max conservation error " +
@@ -214,16 +197,12 @@ main()
     json.metric("", "aggregate_discount", aggregateDiscount);
     json.metric("", "mean_model_discount", discountSum / 4);
     json.metric("", "max_conservation_error", worstConservation);
-    json.metric("", "poisson_equivalent", poissonEquivalent ? 1 : 0);
     json.metric("", "all_deterministic", allDeterministic ? 1 : 0);
     json.write();
 
     if (worstConservation > 1e-6)
         fatal("fig24: fleet billing conservation violated (",
               worstConservation, " relative)");
-    if (!poissonEquivalent)
-        fatal("fig24: poisson scenario diverged from the legacy "
-              "inline source");
     if (!allDeterministic)
         fatal("fig24: a traffic model is not deterministic under "
               "threading");

@@ -1,42 +1,34 @@
 /**
  * @file
- * Figure 26 (extension): trace-scale serving — streaming vs upfront
- * arrival delivery on Azure-dataset-shaped workloads.
+ * Figure 26 (extension): trace-scale serving — streaming arrivals on
+ * Azure-dataset-shaped workloads.
  *
  * The streaming arrival path exists so day-long, 10^5-10^6-function
  * traces fit in bounded memory. This bench generates Azure-shaped
  * CSVs along two axes — function count 10^3 -> 10^5 (10^6 at full
  * scale) at a constant fleet-wide arrival volume, and trace length
- * hour -> day — serves each under both delivery modes, and reports
- * per-cell peak RSS, time-to-first-arrival (parse + first pull),
- * wall time, and the arrival-flow counters (generated / pulled /
- * buffered max).
+ * hour -> day — serves each, and reports per-cell peak RSS,
+ * time-to-first-arrival (parse + first pull), wall time, and the
+ * arrival-flow counters (generated / pulled / buffered max).
  *
  * The function sweep holds the served volume constant because
  * everything downstream of arrivals (billing ledgers retain one
- * record per invocation) is O(served) in BOTH modes — a sweep that
- * scaled volume with function count would measure the ledger, not
- * the delivery path. What separates the modes is arrivals resident
- * at once, and that is asserted exactly: upfront's buffered max IS
- * the whole trace (grows linearly hour -> day), streaming's is one
- * azure minute (<= 10% of the trace on every standard cell).
+ * record per invocation) is O(served) — a sweep that scaled volume
+ * with function count would measure the ledger, not the delivery
+ * path. What the delivery path controls is arrivals resident at
+ * once, and that is asserted exactly: the stream's buffered max is
+ * one azure minute (<= 10% of the trace on every standard cell).
  *
  * Always enforced:
- *  - streaming and upfront produce bit-identical fleet totals AND
+ *  - 1 and 8 worker threads produce bit-identical fleet totals AND
  *    per-machine billing ledgers (record for record) on the
- *    differential cell, at 1 and 8 worker threads, with and without
- *    a crash/retry chaos campaign;
- *  - every cell where both modes run has identical fleet totals;
- *  - streaming peak RSS stays under LITMUS_TRACE_RSS_CEILING_MB.
+ *    differential cell, with and without a crash/retry chaos
+ *    campaign;
+ *  - peak RSS stays under LITMUS_TRACE_RSS_CEILING_MB.
  * At standard/full scale with LITMUS_BENCH_STRICT != 0 the bench
- * additionally asserts the exact buffered-max shape above and (with
- * /proc available) that the streaming peak stays flat (<= 2x)
- * across the 10^3 -> 10^5 function sweep and below the upfront
- * peak.
- *
- * All streaming cells run before any upfront cell: glibc retains
- * freed pages, so the upfront runs' large vectors would otherwise
- * put a floor under later streaming measurements.
+ * additionally asserts the exact buffered-max bound above and (with
+ * /proc available) that the peak stays flat (<= 2x) across the
+ * 10^3 -> 10^5 function sweep.
  *
  * Knobs: LITMUS_TRACE_SCALE (small | standard | full; default
  * standard), LITMUS_TRACE_RSS_CEILING_MB (default 2048),
@@ -73,19 +65,20 @@ wallSeconds(std::chrono::steady_clock::time_point from,
     return std::chrono::duration<double>(to - from).count();
 }
 
-/** One sweep cell: an Azure-shaped file and whether the upfront
- *  (materialize-everything) twin is affordable for it. */
+/** One sweep cell: the shape of an Azure-shaped file. */
 struct Cell
 {
     std::uint64_t functions;
     unsigned minutes;
     double perMinute;
-    bool upfront;
 
     std::string name() const
     {
-        return "f" + std::to_string(functions) + "_m" +
-               std::to_string(minutes);
+        std::string name = "f";
+        name += std::to_string(functions);
+        name += "_m";
+        name += std::to_string(minutes);
+        return name;
     }
 };
 
@@ -93,16 +86,17 @@ std::vector<Cell>
 cellsFor(const std::string &scale)
 {
     if (scale == "small")
-        return {{1000, 5, 300.0, true}};
+        return {{1000, 5, 300.0}};
     // Function sweep at one fleet-wide volume (see the file
-    // comment), then the duration axis: the day cell is where the
-    // upfront twin's resident trace grows 24x.
-    std::vector<Cell> cells = {
-        {1000, 60, 5000.0, true},   {10000, 60, 5000.0, true},
-        {100000, 60, 5000.0, true}, {1000, 1440, 500.0, true}};
+    // comment), then the duration axis: a day-long trace whose
+    // resident minute stays small.
+    std::vector<Cell> cells = {{1000, 60, 5000.0},
+                               {10000, 60, 5000.0},
+                               {100000, 60, 5000.0},
+                               {1000, 1440, 500.0}};
     if (scale == "full") {
-        cells.push_back({1000000, 60, 5000.0, false});
-        cells.push_back({10000, 1440, 2000.0, false});
+        cells.push_back({1000000, 60, 5000.0});
+        cells.push_back({10000, 1440, 2000.0});
     } else if (scale != "standard") {
         fatal("fig26: unknown LITMUS_TRACE_SCALE '", scale,
               "' (want small | standard | full)");
@@ -111,7 +105,7 @@ cellsFor(const std::string &scale)
 }
 
 scenario::ScenarioSpec
-cellSpec(const std::string &path, bool upfront)
+cellSpec(const std::string &path)
 {
     scenario::ScenarioSpec spec;
     spec.fleet = {{"cascade-5218", 2}};
@@ -119,7 +113,6 @@ cellSpec(const std::string &path, bool upfront)
     spec.traffic.azurePath = path;
     spec.keepAlive = 5.0;
     spec.seed = 7;
-    spec.upfrontArrivals = upfront;
     return spec;
 }
 
@@ -171,28 +164,22 @@ requireIdentical(const Outcome &a, const Outcome &b,
 /** Time from cold model build to the first arrival being available:
  *  the latency a fleet waits before dispatch can begin. */
 double
-timeToFirstArrival(const scenario::ScenarioSpec &spec, bool upfront)
+timeToFirstArrival(const scenario::ScenarioSpec &spec)
 {
     const auto pool = spec.functionPool();
     // LITMUS-LINT-ALLOW(wall-clock): time-to-first-dispatch is the measurement
     const auto t0 = std::chrono::steady_clock::now();
     const auto model = scenario::makeTrafficModel(spec.traffic);
     Rng rng(cluster::deriveArrivalSeed(spec.seed));
-    if (upfront) {
-        const auto trace = model->generate(rng, pool);
-        if (trace.empty())
-            fatal("fig26: empty upfront trace");
-    } else {
-        auto stream = model->open(rng, pool);
-        cluster::Invocation inv;
-        if (!stream->next(inv))
-            fatal("fig26: empty stream");
-    }
+    auto stream = model->open(rng, pool);
+    cluster::Invocation inv;
+    if (!stream->next(inv))
+        fatal("fig26: empty stream");
     // LITMUS-LINT-ALLOW(wall-clock): timing only — never feeds simulated results
     return wallSeconds(t0, std::chrono::steady_clock::now());
 }
 
-/** One mode's measured serve of one cell. */
+/** The measured serve of one cell. */
 struct Measured
 {
     cluster::FleetReport report;
@@ -202,15 +189,14 @@ struct Measured
 };
 
 Measured
-measure(const std::string &path, bool upfront)
+measure(const std::string &path)
 {
     Measured m;
-    m.firstArrivalS = timeToFirstArrival(cellSpec(path, upfront),
-                                         upfront);
+    m.firstArrivalS = timeToFirstArrival(cellSpec(path));
     const bool rss = bench::resetPeakRss();
     // LITMUS-LINT-ALLOW(wall-clock): serve wall time is the measurement
     const auto t0 = std::chrono::steady_clock::now();
-    scenario::ScenarioRunner runner(cellSpec(path, upfront));
+    scenario::ScenarioRunner runner(cellSpec(path));
     m.report = runner.run();
     // LITMUS-LINT-ALLOW(wall-clock): timing only — never feeds simulated results
     m.serveWallS = wallSeconds(t0, std::chrono::steady_clock::now());
@@ -244,8 +230,7 @@ main()
 {
     printBanner(std::cout,
                 "Figure 26 (extension): trace-scale serving — "
-                "streaming vs upfront arrivals on Azure-shaped "
-                "workloads");
+                "streaming arrivals on Azure-shaped workloads");
 
     const char *scaleEnv = std::getenv("LITMUS_TRACE_SCALE");
     const std::string scale =
@@ -272,45 +257,24 @@ main()
         paths.push_back(path);
     }
 
-    // Streaming sweep first (see the file comment for why), then the
-    // upfront twins.
     BenchJson json("BENCH_trace_scale.json");
     std::vector<Measured> streaming;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        streaming.push_back(measure(paths[i], false));
+        streaming.push_back(measure(paths[i]));
         recordCell(json, cells[i].name() + "_streaming",
                    streaming.back());
     }
-    std::vector<std::size_t> upfrontIdx;
-    std::vector<Measured> upfront;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!cells[i].upfront)
-            continue;
-        upfrontIdx.push_back(i);
-        upfront.push_back(measure(paths[i], true));
-        recordCell(json, cells[i].name() + "_upfront",
-                   upfront.back());
-        if (!identicalTotals(streaming[i].report,
-                             upfront.back().report))
-            fatal("fig26: streaming vs upfront totals diverged on ",
-                  cells[i].name());
-    }
 
-    TextTable table({"cell", "mode", "arrivals", "peak RSS MB",
+    TextTable table({"cell", "arrivals", "peak RSS MB",
                      "first arrival ms", "serve s", "buffered max"});
-    const auto addRow = [&table](const Cell &cell, const char *mode,
-                                 const Measured &m) {
-        table.addRow({cell.name(), mode,
-                      std::to_string(m.report.arrivals),
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const Measured &m = streaming[i];
+        table.addRow({cells[i].name(), std::to_string(m.report.arrivals),
                       TextTable::num(m.peakRssMb, 1),
                       TextTable::num(1e3 * m.firstArrivalS, 2),
                       TextTable::num(m.serveWallS, 2),
                       std::to_string(m.report.arrivalFlow.bufferedMax)});
-    };
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        addRow(cells[i], "streaming", streaming[i]);
-    for (std::size_t k = 0; k < upfront.size(); ++k)
-        addRow(cells[upfrontIdx[k]], "upfront", upfront[k]);
+    }
     table.print(std::cout);
 
     // ---- differential gate: totals + per-record ledgers ------------
@@ -323,8 +287,8 @@ main()
     const std::string diffPath = "fig26_azure_diff.csv";
     scenario::writeAzureShapedCsv(diffPath, diffGen);
     for (const bool chaos : {false, true}) {
-        const auto withChaos = [&](bool up, unsigned threads) {
-            auto spec = cellSpec(diffPath, up);
+        const auto withChaos = [&](unsigned threads) {
+            auto spec = cellSpec(diffPath);
             spec.threads = threads;
             if (chaos) {
                 spec.fault.crashMtbf = 20.0;
@@ -335,30 +299,15 @@ main()
             return runOutcome(std::move(spec));
         };
         const std::string label = chaos ? " (chaos)" : "";
-        const Outcome serial = withChaos(false, 1);
-        requireIdentical(serial, withChaos(true, 1),
-                         "streaming vs upfront, 1 thread" + label);
-        requireIdentical(serial, withChaos(false, 8),
-                         "streaming 1 vs 8 threads" + label);
-        requireIdentical(serial, withChaos(true, 8),
-                         "streaming vs upfront, 8 threads" + label);
+        requireIdentical(withChaos(1), withChaos(8),
+                         "1 vs 8 threads" + label);
     }
-    std::cout << "\nstreaming vs upfront differential (totals + "
-                 "per-record ledgers, 1 & 8 threads, +chaos): "
-                 "identical\n";
+    std::cout << "\n1 vs 8 threads (totals + per-record ledgers, "
+                 "+chaos): identical\n";
 
-    // ---- arrival-residency gates (exact, no /proc needed) ----------
-    // Upfront's resident trace IS the whole run (buffered max ==
-    // arrivals, so it grows linearly with trace length); streaming
-    // holds at most one azure minute.
+    // ---- arrival-residency gate (exact, no /proc needed) -----------
+    // The stream holds at most one azure minute.
     if (strict && scale != "small") {
-        for (std::size_t k = 0; k < upfront.size(); ++k) {
-            const auto &flow = upfront[k].report.arrivalFlow;
-            if (flow.bufferedMax != upfront[k].report.arrivals)
-                fatal("fig26: upfront buffered max ", flow.bufferedMax,
-                      " != whole trace ", upfront[k].report.arrivals,
-                      " on ", cells[upfrontIdx[k]].name());
-        }
         for (std::size_t i = 0; i < cells.size(); ++i) {
             const auto &flow = streaming[i].report.arrivalFlow;
             if (10 * flow.bufferedMax > streaming[i].report.arrivals)
@@ -391,16 +340,6 @@ main()
                 fatal("fig26: streaming peak RSS not flat across the "
                       "function sweep: ", TextTable::num(streamMin, 1),
                       " .. ", TextTable::num(streamMax, 1), " MB");
-            const double upLast = upfront.back().peakRssMb;
-            const double streamLast =
-                streaming[upfrontIdx.back()].peakRssMb;
-            if (strict && upLast < streamLast)
-                fatal("fig26: upfront peak RSS ",
-                      TextTable::num(upLast, 1),
-                      " MB below streaming's ",
-                      TextTable::num(streamLast, 1),
-                      " MB — the materialized vector should cost "
-                      "more, not less");
         }
     } else {
         std::cout << "(/proc unavailable — RSS assertions skipped)\n";
@@ -410,9 +349,8 @@ main()
         std::cout,
         "n/a (serving-scale extension; the paper's fleet serves "
         "synthetic steady-state) — expect streaming peak RSS flat "
-        "across the function sweep, one resident azure minute vs "
-        "upfront's whole trace, and bit-identical billing vs "
-        "upfront",
+        "across the function sweep, one resident azure minute, and "
+        "bit-identical billing at 1 and 8 threads",
         "streaming peak " +
             (rssAvailable
                  ? TextTable::num(streamMax > 0 ? streamMax
@@ -422,13 +360,10 @@ main()
             " across " + std::to_string(cells.size()) +
             " cells (buffered max " +
             std::to_string(
-                streaming[upfrontIdx.back()].report.arrivalFlow
-                    .bufferedMax) +
-            " of " +
-            std::to_string(
-                streaming[upfrontIdx.back()].report.arrivals) +
-            " day-trace arrivals), ledgers bit-identical streaming "
-            "vs upfront (1 & 8 threads, +chaos)");
+                streaming.back().report.arrivalFlow.bufferedMax) +
+            " of " + std::to_string(streaming.back().report.arrivals) +
+            " last-cell arrivals), ledgers bit-identical at 1 & 8 "
+            "threads (+chaos)");
 
     json.metric("", "cells", static_cast<double>(cells.size()));
     json.metric("", "rss_available", rssAvailable ? 1 : 0);

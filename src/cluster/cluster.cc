@@ -1,6 +1,7 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <thread>
 #include <unordered_map>
@@ -61,10 +62,11 @@ ClusterConfig::validate() const
               "at least one function to sample (the default is "
               "workload::allFunctions())");
     // With an external traffic model the rate/count knobs are the
-    // model's business; only the built-in Poisson source needs them.
+    // model's business; only the default Poisson source needs them.
     if (!traffic) {
-        if (arrivalsPerSecond <= 0)
-            fatal("ClusterConfig: arrival rate must be positive");
+        if (arrivalsPerSecond <= 0 || !std::isfinite(arrivalsPerSecond))
+            fatal("ClusterConfig: arrival rate must be positive and "
+                  "finite");
         if (invocations == 0)
             fatal("ClusterConfig: need at least one invocation");
     }
@@ -677,69 +679,12 @@ Cluster::applyFaults(Seconds now)
     }
 }
 
-namespace
-{
-
-/**
- * The built-in open-loop Poisson source (ClusterConfig::traffic ==
- * nullptr) as a native stream: one fork() of the arrival Rng, then
- * the legacy draw order per arrival — inter-arrival gap, then the
- * uniform pool pick — which the scenario layer's `poisson` model
- * reproduces bit-exactly from the same substream.
- */
-class InlinePoissonStream final : public ArrivalStream
-{
-  public:
-    InlinePoissonStream(
-        Rng &rng, double rate, std::uint64_t count,
-        const std::vector<const workload::FunctionSpec *> &pool)
-        : ArrivalStream("inline-poisson"), rng_(rng.fork()),
-          rate_(rate), remaining_(count), pool_(pool)
-    {
-    }
-
-  protected:
-    bool produce(Invocation &out) override
-    {
-        if (remaining_ == 0)
-            return false;
-        --remaining_;
-        at_ += rng_.exponential(1.0 / rate_);
-        out.arrival = at_;
-        out.spec = pool_[rng_.below(pool_.size())];
-        return true;
-    }
-
-  private:
-    Rng rng_;
-    double rate_;
-    std::uint64_t remaining_;
-    /** Borrowed from ClusterConfig, which outlives the run. */
-    const std::vector<const workload::FunctionSpec *> &pool_;
-    Seconds at_ = 0;
-};
-
-/** Drain a stream into a vector (the upfront-arrivals A/B path). */
-std::vector<Invocation>
-drainStream(ArrivalStream &stream)
-{
-    std::vector<Invocation> trace;
-    Invocation inv;
-    while (stream.next(inv))
-        trace.push_back(inv);
-    return trace;
-}
-
-} // namespace
-
 /** Per-run serving state. */
 struct Cluster::Serve
 {
     explicit Serve(unsigned threads) : pool(threads) {}
 
-    /** The arrival cursor the loop pulls lazily; under
-     *  ClusterConfig::upfrontArrivals a replay of the materialized
-     *  trace (same arrivals, O(total) resident). */
+    /** The arrival cursor the loop pulls lazily. */
     std::unique_ptr<ArrivalStream> stream;
 
     /** The next undispatched arrival (nullptr at end of stream). */
@@ -995,17 +940,11 @@ Cluster::run()
     // Arrival generation draws from its own SplitMix64-derived
     // substream of the seed (rng_ keeps the raw seed for dispatch
     // jitter), so traffic is identical across dispatch policies and
-    // thread counts, and pulling the stream lazily versus draining it
-    // upfront cannot perturb any other draw — the arrivals are
-    // bit-identical either way, which run modes below A/B.
+    // thread counts, and pulling the stream lazily cannot perturb any
+    // other draw.
     Rng trafficRng(deriveArrivalSeed(cfg_.seed));
     if (cfg_.traffic) {
-        if (cfg_.upfrontArrivals)
-            s.stream = replayStream(
-                cfg_.traffic->generate(trafficRng, cfg_.functionPool),
-                cfg_.traffic->name());
-        else
-            s.stream = cfg_.traffic->open(trafficRng, cfg_.functionPool);
+        s.stream = cfg_.traffic->open(trafficRng, cfg_.functionPool);
         if (s.stream == nullptr)
             fatal("Cluster::run: traffic model '",
                   cfg_.traffic->name(), "' opened a null stream");
@@ -1015,14 +954,9 @@ Cluster::run()
                   "' generated no arrivals — check its rate/"
                   "invocations/duration knobs");
     } else {
-        auto inlineStream = std::make_unique<InlinePoissonStream>(
-            trafficRng, cfg_.arrivalsPerSecond, cfg_.invocations,
-            cfg_.functionPool);
-        if (cfg_.upfrontArrivals)
-            s.stream = replayStream(drainStream(*inlineStream),
-                                    inlineStream->model());
-        else
-            s.stream = std::move(inlineStream);
+        s.stream = openPoissonStream(trafficRng, cfg_.arrivalsPerSecond,
+                                     cfg_.invocations, 0,
+                                     cfg_.functionPool);
     }
 
     // Epoch length in whole quanta, computed once on the engines'
@@ -1036,16 +970,11 @@ Cluster::run()
 
     // Compile the fault campaign into one deterministic schedule over
     // the expected arrival window (scripted faults may land past it;
-    // every crash carries its restart). Streaming retired the
-    // materialized trace whose realized last timestamp used to bound
-    // the stochastic fault processes, so the horizon is the model's
-    // own estimate — the same number in streaming and upfront modes,
-    // so the compiled schedule (and everything downstream) stays
-    // bit-identical between them. Custom generate()-only models fall
-    // back to their replay stream's exact last timestamp. The drain
-    // deadline extends over pending fault transitions and queued
-    // retries: a fleet waiting out an outage is making progress, not
-    // hanging.
+    // every crash carries its restart). The horizon is the model's
+    // own estimate, fixed before the first pull, falling back to the
+    // stream's. The drain deadline extends over pending fault
+    // transitions and queued retries: a fleet waiting out an outage
+    // is making progress, not hanging.
     Seconds horizon = cfg_.traffic
                           ? cfg_.traffic->horizonHint()
                           : static_cast<double>(cfg_.invocations) /
@@ -1062,12 +991,9 @@ Cluster::run()
     report_.sched.barriersElided =
         fleetTick_ / epochQuanta_ - report_.sched.barriers;
     // The loop pulls the stream dry before draining, so pulled
-    // equals the arrivals served — the same total the materialized
-    // trace's size used to report.
+    // equals the arrivals served.
     report_.arrivals = s.stream->pulled();
     report_.arrivalFlow.model = s.stream->model();
-    report_.arrivalFlow.mode =
-        cfg_.upfrontArrivals ? "upfront" : "streaming";
     report_.arrivalFlow.generated = s.stream->generated();
     report_.arrivalFlow.pulled = s.stream->pulled();
     report_.arrivalFlow.bufferedMax = s.stream->bufferedMax();

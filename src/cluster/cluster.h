@@ -5,7 +5,7 @@
  * The Litmus paper prices invocations on a single co-located server;
  * production platforms serve the same traffic from fleets. A Cluster
  * owns one sim::Engine per machine, pulls an open-loop arrival stream
- * lazily (the built-in Poisson source or any TrafficSource) at fleet
+ * lazily (the default Poisson source or any TrafficSource) at fleet
  * rates — memory stays O(stream lookahead), so day-long traces over
  * millions of invocations never materialize — routes every arrival
  * through a pluggable Dispatcher, and aggregates per-machine billing
@@ -81,18 +81,17 @@ struct ClusterConfig
     /**
      * Pluggable arrival process (scenario models all implement the
      * TrafficSource interface). Borrowed; must outlive the cluster.
-     * Null keeps the built-in open-loop Poisson source driven by
-     * arrivalsPerSecond/invocations below — which a `poisson`
-     * scenario model reproduces bit-exactly, so the two paths are
-     * interchangeable at the same seed.
+     * Null opens the open-loop Poisson stream (openPoissonStream)
+     * with arrivalsPerSecond/invocations below — the same stream a
+     * `poisson` scenario model opens.
      */
     const TrafficSource *traffic = nullptr;
 
     /** Fleet-wide mean arrival rate (invocations per second). Used
-     *  by the built-in Poisson source (traffic == nullptr). */
+     *  by the default Poisson source (traffic == nullptr). */
     double arrivalsPerSecond = 2000.0;
 
-    /** Total arrivals to generate (built-in Poisson source). */
+    /** Total arrivals to generate (default Poisson source). */
     std::uint64_t invocations = 10000;
 
     /** Sampling pool (the whole Table 1 suite by default; an
@@ -128,16 +127,6 @@ struct ClusterConfig
      * never trip it while arrivals are still due.
      */
     Seconds drainCap = 600.0;
-
-    /**
-     * A/B escape hatch (--arrivals=upfront): materialize the whole
-     * arrival trace before serving (the seed-era behavior) instead of
-     * pulling the stream lazily. Fleet totals and ledgers are
-     * bit-identical either way — that differential is a tested gate —
-     * but upfront pays O(total arrivals) resident memory; it exists
-     * for validation and the fig26 memory comparison.
-     */
-    bool upfrontArrivals = false;
     /** @} */
 
     /** @name Fleet billing @{ */
@@ -287,20 +276,15 @@ struct SchedulerCounters
 /**
  * Arrival-flow observability: what the traffic stream produced and
  * what it cost to hold. `bufferedMax` is the stream's peak resident
- * arrival count — 1 for native streaming models, the whole trace
- * under `upfrontArrivals` — which is the number fig26's memory claim
- * rests on. Like SchedulerCounters, never part of the bit-identity
- * contract (streaming and upfront buffer differently by design), so
- * identicalTotals() ignores this.
+ * arrival count — 1 for generative models, one minute bucket for the
+ * azure ingester — which is the number fig26's memory claim rests
+ * on. Like SchedulerCounters, diagnostic only, so identicalTotals()
+ * ignores this.
  */
 struct ArrivalCounters
 {
-    /** Producing traffic model ("poisson", "trace", "azure", ...;
-     *  "inline-poisson" for the built-in source). */
+    /** Producing traffic model ("poisson", "trace", "azure", ...). */
     std::string model;
-
-    /** "streaming" or "upfront" (ClusterConfig::upfrontArrivals). */
-    std::string mode;
 
     /** Arrivals the model produced (includes a peeked head). */
     std::uint64_t generated = 0;

@@ -10,45 +10,40 @@ namespace litmus::cluster
 namespace
 {
 
-/**
- * Flags the generate()-default -> open()-default cycle: a model that
- * overrides neither would otherwise recurse forever. thread_local
- * because concurrent runs may open streams from different threads.
- */
-thread_local bool inDefaultGenerate = false;
-
-struct DefaultGenerateScope
-{
-    DefaultGenerateScope() { inDefaultGenerate = true; }
-    ~DefaultGenerateScope() { inDefaultGenerate = false; }
-};
-
-class VectorReplayStream final : public ArrivalStream
+class PoissonStream final : public ArrivalStream
 {
   public:
-    VectorReplayStream(std::vector<Invocation> trace, std::string model)
-        : ArrivalStream(std::move(model)), trace_(std::move(trace))
+    PoissonStream(Rng &rng, double rate, std::uint64_t invocations,
+                  Seconds duration,
+                  std::vector<const workload::FunctionSpec *> pool)
+        : ArrivalStream("poisson"), rng_(rng.fork()), rate_(rate),
+          invocations_(invocations), duration_(duration),
+          pool_(std::move(pool))
     {
-        noteBuffered(trace_.size());
-    }
-
-    Seconds horizonHint() const override
-    {
-        return trace_.empty() ? 0 : trace_.back().arrival;
     }
 
   protected:
     bool produce(Invocation &out) override
     {
-        if (next_ >= trace_.size())
+        if (invocations_ > 0 && emitted_ >= invocations_)
             return false;
-        out = trace_[next_++];
+        at_ += rng_.exponential(1.0 / rate_);
+        if (duration_ > 0 && at_ >= duration_)
+            return false;
+        out.arrival = at_;
+        out.spec = pool_[rng_.below(pool_.size())];
+        ++emitted_;
         return true;
     }
 
   private:
-    std::vector<Invocation> trace_;
-    std::size_t next_ = 0;
+    Rng rng_;
+    double rate_;
+    std::uint64_t invocations_;
+    Seconds duration_;
+    std::vector<const workload::FunctionSpec *> pool_;
+    Seconds at_ = 0;
+    std::uint64_t emitted_ = 0;
 };
 
 } // namespace
@@ -108,38 +103,12 @@ ArrivalStream::noteBuffered(std::uint64_t resident)
 }
 
 std::unique_ptr<ArrivalStream>
-TrafficSource::open(
-    Rng &rng,
-    const std::vector<const workload::FunctionSpec *> &pool) const
+openPoissonStream(Rng &rng, double rate, std::uint64_t invocations,
+                  Seconds duration,
+                  std::vector<const workload::FunctionSpec *> pool)
 {
-    if (inDefaultGenerate)
-        fatal("traffic model '", name(),
-              "' implements neither open() nor generate()");
-    return replayStream(generate(rng, pool), name());
-}
-
-std::vector<Invocation>
-TrafficSource::generate(
-    Rng &rng,
-    const std::vector<const workload::FunctionSpec *> &pool) const
-{
-    std::unique_ptr<ArrivalStream> stream;
-    {
-        DefaultGenerateScope guard;
-        stream = open(rng, pool);
-    }
-    std::vector<Invocation> trace;
-    Invocation inv;
-    while (stream->next(inv))
-        trace.push_back(inv);
-    return trace;
-}
-
-std::unique_ptr<ArrivalStream>
-replayStream(std::vector<Invocation> trace, std::string model)
-{
-    return std::make_unique<VectorReplayStream>(std::move(trace),
-                                                std::move(model));
+    return std::make_unique<PoissonStream>(rng, rate, invocations,
+                                           duration, std::move(pool));
 }
 
 std::uint64_t

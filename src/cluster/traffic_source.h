@@ -15,16 +15,11 @@
  * cursor the serving loop peeks/pulls one arrival at a time, so a
  * day-long million-function trace never has to exist as one resident
  * vector — memory is O(model lookahead), not O(total arrivals).
- * generate() (the seed-era "whole trace up front" call) survives as a
- * default-implemented shim that drains the stream; it is the
- * differential oracle the streaming path is tested against, and the
- * adapter that keeps legacy generate()-only models servable.
  *
  * Determinism: open() derives everything from the caller's Rng
  * (conventionally exactly one fork(), a SplitMix64-derived substream
  * — the same scheme FaultPlan uses), so equal-seeded generators
- * produce bit-identical arrival sequences whether drained eagerly or
- * pulled lazily, at any thread count.
+ * produce bit-identical arrival sequences at any thread count.
  */
 
 #ifndef LITMUS_CLUSTER_TRAFFIC_SOURCE_H
@@ -76,18 +71,16 @@ class ArrivalStream
     std::uint64_t pulled() const { return pulled_; }
 
     /** Peak arrivals resident in this stream at once: 1 for purely
-     *  generative models, one minute-bucket for the azure ingester,
-     *  the whole trace for an upfront replay. */
+     *  generative models, one minute-bucket for the azure ingester. */
     std::uint64_t bufferedMax() const { return bufferedMax_; }
 
     /** The producing model's name. */
     const std::string &model() const { return model_; }
 
     /**
-     * Best-effort end-of-arrivals estimate (0 = unknown). A replay
-     * stream knows its trace's last timestamp exactly, which is the
-     * fallback fault-plan horizon for custom generate()-only models
-     * whose TrafficSource::horizonHint() is unknowable.
+     * Best-effort end-of-arrivals estimate (0 = unknown): the
+     * fault-plan horizon when the source's
+     * TrafficSource::horizonHint() is unknown.
      */
     virtual Seconds horizonHint() const { return 0; }
 
@@ -118,10 +111,7 @@ class ArrivalStream
 
 /**
  * One arrival process. Implementations are immutable after
- * construction; a model implements open() (native streaming) or
- * generate() (legacy upfront) — each has a default implemented in
- * terms of the other, and implementing neither is fatal() at first
- * use. Built-in models are native streams.
+ * construction and stream natively through open().
  */
 class TrafficSource
 {
@@ -139,56 +129,43 @@ class TrafficSource
      * outlives the stream at every call site in-tree). Timestamps
      * nondecreasing from 0 and non-null specs are enforced by the
      * ArrivalStream base.
-     *
-     * Default: materialize via generate() and replay — the adapter
-     * that keeps generate()-only custom models servable (at upfront
-     * memory cost).
      */
     virtual std::unique_ptr<ArrivalStream>
     open(Rng &rng,
-         const std::vector<const workload::FunctionSpec *> &pool) const;
-
-    /**
-     * Generate the full arrival trace: timestamps nondecreasing from
-     * 0, seq numbered 0..n-1, every spec non-null (sampled uniformly
-     * from @p pool unless the model carries its own function names).
-     *
-     * Default: drain open() into a vector — bit-identical to pulling
-     * the stream lazily, which is exactly what the streaming
-     * differential suite asserts.
-     */
-    virtual std::vector<Invocation>
-    generate(Rng &rng,
-             const std::vector<const workload::FunctionSpec *> &pool)
-        const;
+         const std::vector<const workload::FunctionSpec *> &pool)
+        const = 0;
 
     /**
      * Best-effort end-of-arrivals estimate in simulated seconds
-     * (0 = unknown). Streaming retired the materialized trace whose
-     * last timestamp used to bound the stochastic fault processes, so
-     * FaultPlan::compile takes this hint instead: generative models
-     * report their duration (or invocations/rate), replay models
-     * their capped span. Only consulted when a stochastic fault
-     * campaign (crash/slow/blind MTBF) is configured.
+     * (0 = unknown). FaultPlan::compile bounds the stochastic fault
+     * processes with it: generative models report their duration (or
+     * invocations/rate), replay models their capped span. Only
+     * consulted when a stochastic fault campaign (crash/slow/blind
+     * MTBF) is configured.
      */
     virtual Seconds horizonHint() const { return 0; }
 };
 
 /**
- * A stream replaying an already-materialized trace (upfront A/B mode,
- * the legacy-model adapter, tests). Reports the whole vector as its
- * resident buffer — that is the honest cost of upfront generation.
+ * The open-loop Poisson process, the only one in the tree: the
+ * fleet's default source (ClusterConfig::traffic == nullptr) and the
+ * scenario layer's `poisson` model both open it. One fork() of
+ * @p rng, then per arrival an exponential gap at @p rate followed by
+ * a uniform pick from @p pool. Stops after @p invocations arrivals
+ * (0 = no count limit) or at the first arrival at or past
+ * @p duration (0 = no time limit).
  */
 std::unique_ptr<ArrivalStream>
-replayStream(std::vector<Invocation> trace, std::string model);
+openPoissonStream(Rng &rng, double rate, std::uint64_t invocations,
+                  Seconds duration,
+                  std::vector<const workload::FunctionSpec *> pool);
 
 /**
  * The arrival-stream seed for a scenario seed: SplitMix64 substream
  * #2 of the seed (the fault plan derives #1), so traffic generation,
  * the fault schedule, and the cluster's dispatch-jitter Rng (the raw
  * seed) are three independent stream families — pulling arrivals
- * lazily can never perturb jitter draws, which is what keeps the
- * streaming and upfront paths bit-identical.
+ * lazily can never perturb jitter draws.
  */
 std::uint64_t deriveArrivalSeed(std::uint64_t scenarioSeed);
 

@@ -97,7 +97,7 @@ struct CalibrationConfig
 struct CalibrationProfile
 {
     /** MachineConfig::name of the calibration machine. Empty on
-     *  legacy (v1) artifacts and hand-built tables = matches any. */
+     *  hand-built tables = matches any. */
     std::string machine;
 
     CongestionTable congestion;
@@ -114,7 +114,7 @@ struct CalibrationProfile
 
 /**
  * The one profile/machine matching rule: an empty name on either
- * side is a wildcard (legacy artifacts, synthetic tables), anything
+ * side is a wildcard (hand-built or synthetic tables), anything
  * else must match exactly. @p context names the caller in the
  * fatal().
  */

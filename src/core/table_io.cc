@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -24,33 +25,45 @@ langToken(Language lang)
                : (lang == Language::NodeJs ? "nodejs" : "go");
 }
 
-Language
-langFromToken(const std::string &token)
-{
-    if (token == "python")
-        return Language::Python;
-    if (token == "nodejs")
-        return Language::NodeJs;
-    if (token == "go")
-        return Language::Go;
-    fatal("table_io: unknown language '", token, "'");
-}
-
 const char *
 genToken(GeneratorKind gen)
 {
     return gen == GeneratorKind::CtGen ? "ct" : "mb";
 }
 
-GeneratorKind
-genFromToken(const std::string &token)
+/** Where a profile parse stands, so every error names `source:line`. */
+struct ProfileCursor
 {
-    if (token == "ct")
-        return GeneratorKind::CtGen;
-    if (token == "mb")
-        return GeneratorKind::MbGen;
-    fatal("table_io: unknown generator '", token, "'");
-}
+    std::string source;
+    int lineNo = 1;
+
+    template <typename... Args>
+    [[noreturn]] void fail(Args &&...args) const
+    {
+        fatal("loadProfile: ", source, ":", lineNo, ": ",
+              std::forward<Args>(args)...);
+    }
+
+    Language lang(const std::string &token) const
+    {
+        if (token == "python")
+            return Language::Python;
+        if (token == "nodejs")
+            return Language::NodeJs;
+        if (token == "go")
+            return Language::Go;
+        fail("unknown language '", token, "'");
+    }
+
+    GeneratorKind gen(const std::string &token) const
+    {
+        if (token == "ct")
+            return GeneratorKind::CtGen;
+        if (token == "mb")
+            return GeneratorKind::MbGen;
+        fail("unknown generator '", token, "'");
+    }
+};
 
 } // namespace
 
@@ -128,52 +141,40 @@ saveProfile(const std::string &path, const CalibrationProfile &profile)
 }
 
 CalibrationProfile
-loadProfile(std::istream &is)
+loadProfile(std::istream &is, const std::string &source)
 {
+    ProfileCursor at{source.empty() ? "<stream>" : source};
     std::string header;
-    if (!std::getline(is, header) ||
-        (header != "litmus-tables v1" && header != "litmus-tables v2"))
-        fatal("loadProfile: bad header '", header,
-              "' (want litmus-tables v1 | v2)");
-    const bool v2 = header == "litmus-tables v2";
+    if (!std::getline(is, header) || header != "litmus-tables v2")
+        at.fail("bad header '", header, "' (want litmus-tables v2)");
 
     CalibrationProfile out;
     std::string line;
-    int lineNo = 1;
     while (std::getline(is, line)) {
-        ++lineNo;
+        ++at.lineNo;
         if (line.empty())
             continue;
         std::istringstream fields(line);
         std::string kind;
         fields >> kind;
         if (kind == "machine") {
-            if (!v2)
-                fatal("loadProfile: 'machine' record in a v1 file on "
-                      "line ", lineNo);
             fields >> out.machine;
             if (!fields || out.machine.empty())
-                fatal("loadProfile: malformed machine record on line ",
-                      lineNo);
+                at.fail("malformed machine record");
         } else if (kind == "baseline") {
             std::string lang;
             ProbeReading base;
             fields >> lang >> base.privCpi >> base.sharedCpi >>
                 base.instructions >> base.machineL3MissPerUs;
             if (!fields)
-                fatal("loadProfile: malformed baseline on line ",
-                      lineNo);
-            out.congestion.setBaseline(langFromToken(lang), base);
+                at.fail("malformed baseline");
+            out.congestion.setBaseline(at.lang(lang), base);
         } else if (kind == "solo") {
-            if (!v2)
-                fatal("loadProfile: 'solo' record in a v1 file on "
-                      "line ", lineNo);
             std::string name;
             SoloBaseline solo;
             fields >> name >> solo.privCpi >> solo.sharedCpi;
             if (!fields)
-                fatal("loadProfile: malformed solo baseline on line ",
-                      lineNo);
+                at.fail("malformed solo baseline");
             out.referenceSolo[name] = solo;
         } else if (kind == "congestion") {
             std::string lang, gen;
@@ -183,9 +184,8 @@ loadProfile(std::istream &is)
                 entry.sharedSlowdown >> entry.totalSlowdown >>
                 entry.l3MissPerUs;
             if (!fields)
-                fatal("loadProfile: malformed congestion row on line ",
-                      lineNo);
-            out.congestion.add(langFromToken(lang), genFromToken(gen),
+                at.fail("malformed congestion row");
+            out.congestion.add(at.lang(lang), at.gen(gen),
                                static_cast<unsigned>(level), entry);
         } else if (kind == "performance") {
             std::string gen;
@@ -194,13 +194,11 @@ loadProfile(std::istream &is)
             fields >> gen >> level >> entry.privSlowdown >>
                 entry.sharedSlowdown >> entry.totalSlowdown;
             if (!fields)
-                fatal("loadProfile: malformed performance row on line ",
-                      lineNo);
-            out.performance.add(genFromToken(gen),
+                at.fail("malformed performance row");
+            out.performance.add(at.gen(gen),
                                 static_cast<unsigned>(level), entry);
         } else {
-            fatal("loadProfile: unknown record '", kind, "' on line ",
-                  lineNo);
+            at.fail("unknown record '", kind, "'");
         }
     }
     return out;
@@ -212,7 +210,7 @@ loadProfile(const std::string &path)
     std::ifstream in(path);
     if (!in)
         fatal("loadProfile: cannot open '", path, "'");
-    return loadProfile(in);
+    return loadProfile(in, path);
 }
 
 } // namespace litmus::pricing

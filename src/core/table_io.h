@@ -14,9 +14,10 @@
  *     congestion <lang> <gen> <level> <priv> <shared> <total> <l3PerUs>
  *     performance <gen> <level> <priv> <shared> <total>
  *
- * The v1 format (no machine/solo records) still loads; such legacy
- * artifacts carry an empty machine name, which requireMachine treats
- * as a wildcard. Doubles are written with 17 significant digits, so a
+ * The machine record is optional: a profile without one carries an
+ * empty machine name, which requireMachine treats as a wildcard
+ * (hand-built tables use it). Any header but `litmus-tables v2` is
+ * fatal. Doubles are written with 17 significant digits, so a
  * save/load round-trip is bit-exact.
  */
 
@@ -38,9 +39,10 @@ void saveProfile(std::ostream &os, const CalibrationProfile &profile);
 void saveProfile(const std::string &path,
                  const CalibrationProfile &profile);
 
-/** Parse a profile (v1 or v2) from a stream; fatal() on malformed
- *  input. */
-CalibrationProfile loadProfile(std::istream &is);
+/** Parse a v2 profile from a stream; fatal() on malformed input,
+ *  naming `source:line` (`<stream>:line` when @p source is empty). */
+CalibrationProfile loadProfile(std::istream &is,
+                               const std::string &source = "");
 
 /** Parse a profile from a file; fatal() when unreadable. */
 CalibrationProfile loadProfile(const std::string &path);

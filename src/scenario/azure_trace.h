@@ -28,8 +28,7 @@
  *    per-(stream, row, minute) SplitMix64-derived Rng (the FaultPlan
  *    seeding scheme), then merged in timestamp order across rows —
  *    so the arrival sequence is a pure function of the scenario seed,
- *    independent of pull order and thread count, and identical
- *    between streaming and upfront consumption. The stream buffers
+ *    independent of pull order and thread count. The stream buffers
  *    one minute of arrivals at a time.
  *  - **Function→suite mapping heuristics.** A HashFunction field that
  *    names a Table 1 suite member maps to it directly (curated traces

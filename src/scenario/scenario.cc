@@ -107,14 +107,6 @@ ScenarioSpec::set(const std::string &key, const std::string &value)
         if ((value == "trace" || value == "azure") &&
             !invocationsExplicit)
             traffic.invocations = 0;
-    } else if (key == "arrivals") {
-        if (value == "streaming")
-            upfrontArrivals = false;
-        else if (value == "upfront")
-            upfrontArrivals = true;
-        else
-            fatal("scenario key 'arrivals' expects 'streaming' or "
-                  "'upfront', got '", value, "'");
     } else if (key == "rate") {
         traffic.arrivalsPerSecond = parseDouble(key, value);
     } else if (key == "invocations") {
@@ -215,7 +207,7 @@ ScenarioSpec::set(const std::string &key, const std::string &value)
 std::vector<std::string>
 ScenarioSpec::knownKeys()
 {
-    return {"arrivals", "azure.max_rows", "azure.path",
+    return {"azure.max_rows", "azure.path",
             "azure.rate_scale",
             "burst.idle_fraction", "burst.off", "burst.on",
             "calibrate", "calibration_levels", "diurnal.amplitude",

@@ -43,15 +43,12 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
 
     cfg_.fleet = spec_.fleet;
     cfg_.policy = spec_.policy;
-    cfg_.arrivalsPerSecond = spec_.traffic.arrivalsPerSecond;
-    cfg_.invocations = spec_.traffic.invocations;
     cfg_.functionPool = pool_;
     cfg_.seed = spec_.seed;
     cfg_.epoch = spec_.epoch;
     cfg_.keepAlive = spec_.keepAlive;
     cfg_.threads = spec_.threads;
     cfg_.drainCap = spec_.drainCap;
-    cfg_.upfrontArrivals = spec_.upfrontArrivals;
     cfg_.sharingFactor = spec_.sharingFactor;
     cfg_.probes = spec_.probes.value_or(!cfg_.discountModels.empty());
     cfg_.traffic = traffic_.get();
@@ -66,8 +63,9 @@ ScenarioRunner::bindPricing()
 {
     const auto bind = [this](pricing::ProfileStore::ProfilePtr profile) {
         if (profile->machine.empty())
-            fatal("scenario: profile has no machine name (legacy v1 "
-                  "artifact?) — recalibrate to produce a v2 profile");
+            fatal("scenario: profile has no machine record — a fleet "
+                  "binds one profile per machine type; add a "
+                  "'machine <type>' line or recalibrate");
         if (cfg_.discountModels.contains(profile->machine))
             fatal("scenario: two profiles for machine type '",
                   profile->machine, "' — pass one per type");
@@ -214,8 +212,8 @@ printFleetReport(std::ostream &os, const cluster::FleetReport &report)
     // Arrival-flow footer: how the traffic source fed the fleet.
     // Diagnostic only — never part of the bit-identity contract.
     const cluster::ArrivalCounters &flow = report.arrivalFlow;
-    os << "arrivals " << flow.model << " (" << flow.mode
-       << ")  generated " << flow.generated << "  pulled "
+    os << "arrivals " << flow.model << "  generated "
+       << flow.generated << "  pulled "
        << flow.pulled << "  buffered max " << flow.bufferedMax
        << "\n";
 }

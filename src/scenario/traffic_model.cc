@@ -36,8 +36,8 @@ wantMore(const TrafficSpec &spec, std::uint64_t count, Seconds at)
  * the configured duration, the expected span of the configured count
  * at the long-run mean rate, or whichever of the two limits bites
  * first when both are set. An estimate (the realized last arrival is
- * random), but identical between streaming and upfront consumption —
- * which is what the fault-plan horizon needs.
+ * random), but fixed before the first pull — which is what the
+ * fault-plan horizon needs.
  */
 Seconds
 expectedSpan(const TrafficSpec &spec)
@@ -51,45 +51,7 @@ expectedSpan(const TrafficSpec &spec)
     return spec.duration > 0 ? spec.duration : byCount;
 }
 
-/**
- * The legacy open-loop source. The per-arrival draw order
- * (exponential gap, then uniform function index) from one fork() of
- * the arrival Rng replicates the cluster's inline generator exactly,
- * so a poisson scenario at seed S is bit-identical to the built-in
- * fleet source at seed S.
- */
-class PoissonStream final : public cluster::ArrivalStream
-{
-  public:
-    PoissonStream(const TrafficSpec &spec, Rng &rng,
-                  const std::vector<const workload::FunctionSpec *> &pool)
-        : ArrivalStream("poisson"), spec_(spec), rng_(rng.fork()),
-          pool_(pool)
-    {
-    }
-
-  protected:
-    bool produce(cluster::Invocation &out) override
-    {
-        if (spec_.invocations > 0 && emitted_ >= spec_.invocations)
-            return false;
-        at_ += rng_.exponential(1.0 / spec_.arrivalsPerSecond);
-        if (spec_.duration > 0 && at_ >= spec_.duration)
-            return false;
-        out.arrival = at_;
-        out.spec = pool_[rng_.below(pool_.size())];
-        ++emitted_;
-        return true;
-    }
-
-  private:
-    TrafficSpec spec_;
-    Rng rng_;
-    std::vector<const workload::FunctionSpec *> pool_;
-    Seconds at_ = 0;
-    std::uint64_t emitted_ = 0;
-};
-
+/** The open-loop source: the cluster layer's one Poisson stream. */
 class PoissonTraffic final : public TrafficModel
 {
   public:
@@ -102,7 +64,9 @@ class PoissonTraffic final : public TrafficModel
          const std::vector<const workload::FunctionSpec *> &pool)
         const override
     {
-        return std::make_unique<PoissonStream>(spec_, rng, pool);
+        return cluster::openPoissonStream(rng, spec_.arrivalsPerSecond,
+                                          spec_.invocations,
+                                          spec_.duration, pool);
     }
 
     Seconds horizonHint() const override { return expectedSpan(spec_); }
@@ -116,8 +80,7 @@ class PoissonTraffic final : public TrafficModel
  * candidates from a homogeneous process at the peak rate and accept
  * each with probability rate(t)/peak. Exact for any bounded rate
  * function, and deterministic for a fixed Rng — one produce() call
- * loops over rejected candidates, so the draw sequence is identical
- * to the materialized era's single loop.
+ * loops over rejected candidates until one is accepted.
  */
 class DiurnalStream final : public cluster::ArrivalStream
 {

@@ -2,15 +2,13 @@
  * @file
  * Pluggable fleet traffic models: the arrival process as a plugin.
  *
- * Until now every fleet experiment was hard-wired to one open-loop
- * Poisson source generated inline by the cluster. The Litmus fairness
- * claims are only as convincing as the workloads billed under, so the
- * scenario layer turns "how do invocations arrive" into an interface
- * with four built-ins:
+ * The Litmus fairness claims are only as convincing as the workloads
+ * billed under, so the scenario layer turns "how do invocations
+ * arrive" into an interface with five built-ins:
  *
- *  - poisson  the classic open-loop memoryless stream (the legacy
- *             source, now a plugin — bit-identical to the cluster's
- *             old inline generator at the same seed);
+ *  - poisson  the classic open-loop memoryless stream (the cluster
+ *             layer's openPoissonStream, which is also the fleet's
+ *             default source);
  *  - diurnal  a sinusoid-modulated rate (day/night load swing),
  *             sampled by Lewis-Shedler thinning against the peak
  *             rate;
@@ -31,10 +29,8 @@
  * stream: open() yields arrivals one at a time from a single fork()
  * of the run's arrival Rng, so memory stays O(model lookahead) for
  * day-long million-function workloads, and a fixed seed gives the
- * same arrivals at any thread count whether the stream is pulled
- * lazily or drained upfront through generate() — the fleet
- * determinism guarantee does not depend on which model produced the
- * traffic, nor on how it was consumed.
+ * same arrivals at any thread count — the fleet determinism guarantee
+ * does not depend on which model produced the traffic.
  */
 
 #ifndef LITMUS_SCENARIO_TRAFFIC_MODEL_H
@@ -124,10 +120,10 @@ struct TrafficSpec
 /**
  * One arrival process, by its registry name ("poisson", "diurnal",
  * ...). The contract — open() streams nondecreasing non-null
- * arrivals, generate() drains the same stream, identical output for
- * equal-seeded generators — is cluster::TrafficSource's; the scenario
- * layer adds only the registry. The interface lives in the cluster
- * layer so the cluster can consume models without an upward include.
+ * arrivals, identical for equal-seeded generators — is
+ * cluster::TrafficSource's; the scenario layer adds only the
+ * registry. The interface lives in the cluster layer so the cluster
+ * can consume models without an upward include.
  */
 class TrafficModel : public cluster::TrafficSource
 {

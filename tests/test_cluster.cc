@@ -5,6 +5,8 @@
  * of the threaded epoch runner.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
@@ -120,6 +122,17 @@ TEST(ClusterConfig, ValidateCatchesNonsense)
     cfg = ClusterConfig{};
     cfg.arrivalsPerSecond = 0;
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "rate");
+    // NaN fails every comparison, so `<= 0` alone cannot reject it;
+    // an unrejected NaN rate surfaces only as a failure to drain.
+    cfg = ClusterConfig{};
+    cfg.fleet = {{"cascade-5218", 2}};
+    cfg.invocations = 50;
+    cfg.arrivalsPerSecond = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "arrival rate must be positive and finite");
+    cfg.arrivalsPerSecond = std::numeric_limits<double>::infinity();
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "arrival rate must be positive and finite");
     cfg = ClusterConfig{};
     cfg.invocations = 0;
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),

@@ -590,8 +590,6 @@ TEST(FaultScenario, EveryKnownKeyIsSettable)
             return "trace.csv";
         if (key == "azure.path")
             return "azure.csv";
-        if (key == "arrivals")
-            return "streaming";
         if (key == "tables")
             return "t.profile";
         if (key == "tables_out")

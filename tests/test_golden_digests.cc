@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "scenario/azure_trace.h"
 #include "scenario/scenario_runner.h"
 
 namespace litmus
@@ -207,6 +208,29 @@ baseSpec(const std::string &extra = "")
         extra);
 }
 
+/** A small Azure-shaped CSV synthesized into the test temp dir. */
+std::string
+smallAzureCsv(const std::string &name, std::uint64_t seed)
+{
+    scenario::AzureTraceGenSpec gen;
+    gen.functions = 200;
+    gen.minutes = 3;
+    gen.invocationsPerMinute = 150.0;
+    gen.seed = seed;
+    const std::string path = ::testing::TempDir() + name;
+    scenario::writeAzureShapedCsv(path, gen);
+    return path;
+}
+
+/** A shipped examples/scenarios file, loaded from disk so its
+ *  relative trace.path / azure.path resolve next to it. */
+scenario::ScenarioSpec
+exampleSpec(const std::string &name)
+{
+    return scenario::ScenarioSpec::fromFile(
+        std::string(LITMUS_SCENARIO_DIR) + "/" + name + ".scenario");
+}
+
 TEST(GoldenDigest, Poisson)
 {
     expectGolden("poisson", baseSpec());
@@ -291,6 +315,49 @@ TEST(GoldenDigest, ChaosTenantPaysScripted)
                           "fault.slow.factor = 0.5\n"
                           "fault.retry = retry-once\n"
                           "fault.billing = tenant-pays\n"));
+}
+
+TEST(GoldenDigest, Azure)
+{
+    const std::string path = smallAzureCsv("golden_azure.csv", 5);
+    expectGolden("azure", baseSpec("traffic = azure\n"
+                                   "azure.path = " + path + "\n"));
+}
+
+TEST(GoldenDigest, AzureChaos)
+{
+    // Crashes and retries over lazily pulled minute buckets.
+    const std::string path = smallAzureCsv("golden_azure_chaos.csv", 6);
+    expectGolden("azure-chaos", baseSpec("traffic = azure\n"
+                                         "azure.path = " + path + "\n"
+                                         "fault.crash.mtbf = 40\n"
+                                         "fault.crash.restart = 2\n"
+                                         "fault.retry = retry-once\n"));
+}
+
+TEST(GoldenDigest, ExampleAzureStream)
+{
+    expectGolden("example-azure-stream", exampleSpec("azure_stream"));
+}
+
+TEST(GoldenDigest, ExampleChaosBurst)
+{
+    // 2000 of the file's 8000 invocations keep the suite fast; the
+    // two pinned early crashes still kill and retry work.
+    expectGolden("example-chaos-burst",
+                 exampleSpec("chaos_burst").set("invocations", "2000"));
+}
+
+TEST(GoldenDigest, ExampleDiurnalHetero)
+{
+    // 2000 of the file's 12000 invocations keep the suite fast.
+    expectGolden("example-diurnal-hetero",
+                 exampleSpec("diurnal_hetero").set("invocations", "2000"));
+}
+
+TEST(GoldenDigest, ExampleTraceReplay)
+{
+    expectGolden("example-trace-replay", exampleSpec("trace_replay"));
 }
 
 } // namespace

@@ -1,16 +1,16 @@
 /**
  * @file
- * Differential and contract suite for streaming arrival generation:
- * lazily pulled arrivals must reproduce the materialized-upfront
- * oracle bit-for-bit — every FleetReport field, every per-machine
- * ledger record — for every built-in model (poisson / diurnal /
- * burst / trace / azure), at every thread count, and under a chaos
- * campaign.
+ * Thread-count and contract suite for streaming arrival generation:
+ * lazily pulled arrivals must give bit-identical results — every
+ * FleetReport field, every per-machine ledger record — at 1, 4 and
+ * 16 worker threads for every built-in model (poisson / diurnal /
+ * burst / trace / azure), also under a chaos campaign. The exact
+ * outputs are pinned by tests/golden/cluster.txt.
  *
  * Also covers the ArrivalStream contract itself (peek/next, seq
- * numbering, flow counters, ordering and null-spec enforcement, the
- * mutual open()/generate() defaults), the azure-dataset ingester
- * (bucket sampling, suite mapping, caps), and the new scenario keys.
+ * numbering, flow counters, ordering and null-spec enforcement), the
+ * azure-dataset ingester (bucket sampling, suite mapping, caps), and
+ * the azure scenario keys.
  */
 
 #include <algorithm>
@@ -50,7 +50,7 @@ onePool()
     return {&workload::functionByName("float-py")};
 }
 
-/** Drain a stream into a vector (upfront-shaped, for comparisons). */
+/** Drain a stream into a vector. */
 std::vector<Invocation>
 drain(ArrivalStream &stream)
 {
@@ -61,7 +61,7 @@ drain(ArrivalStream &stream)
     return out;
 }
 
-// ---- streaming vs upfront differential -------------------------------
+// ---- thread-count invariance -----------------------------------------
 
 /** One run's complete observable outcome: the report and every
  *  machine's ledger records. */
@@ -72,9 +72,8 @@ struct RunOutcome
 };
 
 RunOutcome
-runWith(scenario::ScenarioSpec spec, bool upfront, unsigned threads)
+runWith(scenario::ScenarioSpec spec, unsigned threads)
 {
-    spec.upfrontArrivals = upfront;
     spec.threads = threads;
     scenario::ScenarioRunner runner(std::move(spec));
     RunOutcome out;
@@ -85,9 +84,7 @@ runWith(scenario::ScenarioSpec spec, bool upfront, unsigned threads)
     return out;
 }
 
-/** Bit-exact comparison of everything a run reports. The arrival-flow
- *  counters are deliberately excluded: the two delivery modes buffer
- *  differently by design — that is the entire point. */
+/** Bit-exact comparison of everything a run reports. */
 void
 expectIdentical(const RunOutcome &a, const RunOutcome &b)
 {
@@ -153,19 +150,17 @@ expectIdentical(const RunOutcome &a, const RunOutcome &b)
     }
 }
 
-/** The full delivery-mode matrix for one spec: streaming must equal
- *  upfront at 1 and 16 threads and survive 4/16-thread streaming. */
+/** The thread matrix for one spec: 4 and 16 threads must equal the
+ *  serial run, and the loop must pull every arrival it serves. */
 void
 checkStreamingMatrix(const scenario::ScenarioSpec &spec)
 {
-    const RunOutcome serial = runWith(spec, false, 1);
-    EXPECT_EQ(serial.report.arrivalFlow.mode, "streaming");
-    const RunOutcome upfront = runWith(spec, true, 1);
-    EXPECT_EQ(upfront.report.arrivalFlow.mode, "upfront");
-    expectIdentical(serial, upfront);
-    expectIdentical(serial, runWith(spec, false, 4));
-    expectIdentical(serial, runWith(spec, false, 16));
-    expectIdentical(serial, runWith(spec, true, 16));
+    const RunOutcome serial = runWith(spec, 1);
+    EXPECT_EQ(serial.report.arrivalFlow.pulled, serial.report.arrivals);
+    EXPECT_EQ(serial.report.arrivalFlow.generated,
+              serial.report.arrivals);
+    expectIdentical(serial, runWith(spec, 4));
+    expectIdentical(serial, runWith(spec, 16));
 }
 
 scenario::ScenarioSpec
@@ -238,9 +233,7 @@ TEST(StreamingDifferential, AzureMatrix)
 TEST(StreamingDifferential, ChaosOverlap)
 {
     // Crashes + backoff retries while arrivals stream in: retry
-    // re-dispatches interleave with lazily pulled arrivals, and the
-    // stochastic fault schedule must come out identical because both
-    // modes report the same horizon hint.
+    // re-dispatches interleave with lazily pulled arrivals.
     const auto spec = baseSpec("fault.crash.mtbf = 0.4\n"
                                "fault.crash.restart = 0.05\n"
                                "fault.retry = backoff\n"
@@ -315,106 +308,6 @@ TEST(StreamingContract, CountersAndSequenceNumbers)
     EXPECT_FALSE(stream->next(inv));
 }
 
-TEST(StreamingContract, ReplayStreamReportsUpfrontCost)
-{
-    std::vector<Invocation> trace(3);
-    const auto pool = onePool();
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        trace[i].spec = pool[0];
-        trace[i].arrival = 0.5 * static_cast<double>(i);
-    }
-    const auto stream = cluster::replayStream(trace, "canned");
-    EXPECT_EQ(stream->model(), "canned");
-    EXPECT_EQ(stream->bufferedMax(), 3u);
-    EXPECT_EQ(stream->horizonHint(), 1.0);
-    EXPECT_EQ(drain(*stream).size(), 3u);
-}
-
-TEST(StreamingContract, GenerateIsTheStreamDrainedForEveryModel)
-{
-    const std::string tracePath = writeTempFile(
-        "shim_oracle_trace.csv", "0.01,float-py\n0.02,\n0.05,\n");
-    const std::string azurePath =
-        smallAzureCsv("shim_oracle_azure.csv", 7);
-    for (const std::string model :
-         {"poisson", "diurnal", "burst", "trace", "azure"}) {
-        scenario::TrafficSpec spec;
-        spec.model = model;
-        spec.arrivalsPerSecond = 2000;
-        spec.invocations = 300;
-        spec.diurnalPeriod = 0.05;
-        spec.burstOn = 0.01;
-        spec.burstOff = 0.03;
-        spec.tracePath = tracePath;
-        spec.azurePath = azurePath;
-        const auto traffic = scenario::makeTrafficModel(spec);
-        Rng upfrontRng(9);
-        const auto upfront = traffic->generate(upfrontRng, onePool());
-        Rng streamRng(9);
-        const auto stream = traffic->open(streamRng, onePool());
-        const auto streamed = drain(*stream);
-        ASSERT_EQ(upfront.size(), streamed.size()) << model;
-        for (std::size_t i = 0; i < upfront.size(); ++i) {
-            EXPECT_EQ(upfront[i].arrival, streamed[i].arrival)
-                << model << " arrival " << i;
-            EXPECT_EQ(upfront[i].spec, streamed[i].spec)
-                << model << " arrival " << i;
-            EXPECT_EQ(upfront[i].seq, streamed[i].seq)
-                << model << " arrival " << i;
-        }
-    }
-}
-
-/** A legacy-style model: generate() only, no open() override. */
-class GenerateOnly final : public scenario::TrafficModel
-{
-  public:
-    std::string name() const override { return "generate-only"; }
-    std::vector<Invocation>
-    generate(Rng &rng,
-             const std::vector<const FunctionSpec *> &pool)
-        const override
-    {
-        std::vector<Invocation> out;
-        for (std::uint64_t i = 0; i < 100; ++i) {
-            Invocation inv;
-            inv.spec = pool[rng.below(pool.size())];
-            inv.arrival = 0.5 * static_cast<double>(i + 1);
-            inv.seq = i;
-            out.push_back(inv);
-        }
-        return out;
-    }
-};
-
-TEST(StreamingContract, GenerateOnlyModelsStreamViaTheAdapter)
-{
-    GenerateOnly model;
-    Rng rng(3);
-    const auto stream = model.open(rng, onePool());
-    ASSERT_NE(stream, nullptr);
-    // The adapter pays the honest upfront cost and knows the exact
-    // horizon (the fault-plan fallback for custom models).
-    EXPECT_EQ(stream->bufferedMax(), 100u);
-    EXPECT_EQ(stream->horizonHint(), 50.0);
-    EXPECT_EQ(drain(*stream).size(), 100u);
-}
-
-TEST(StreamingContractDeath, ImplementingNeitherIsFatal)
-{
-    class Neither final : public scenario::TrafficModel
-    {
-      public:
-        std::string name() const override { return "neither"; }
-    };
-    Neither model;
-    Rng rng(1);
-    EXPECT_EXIT((void)model.open(rng, onePool()),
-                ::testing::ExitedWithCode(1), "implements neither");
-    EXPECT_EXIT((void)model.generate(rng, onePool()),
-                ::testing::ExitedWithCode(1), "implements neither");
-}
-
 /** A broken stream for contract-enforcement death tests. */
 class BrokenStream final : public ArrivalStream
 {
@@ -463,8 +356,8 @@ TEST(StreamingContractDeath, BaseEnforcesOrderAndSpecs)
 TEST(StreamingContract, ArrivalSeedIsItsOwnStreamFamily)
 {
     // Jitter uses the raw seed, faults substream #1, arrivals
-    // substream #2 — colliding families would entangle the draws and
-    // break the streaming/upfront differential.
+    // substream #2 — colliding families would entangle the draws, so
+    // pulling arrivals could move jitter or faults.
     EXPECT_NE(cluster::deriveArrivalSeed(11), 11u);
     EXPECT_NE(cluster::deriveArrivalSeed(11),
               cluster::deriveArrivalSeed(12));
@@ -487,7 +380,7 @@ azureArrivals(const std::string &path, std::uint64_t seed = 42,
     spec.azurePath = path;
     spec.invocations = 0;
     Rng rng(seed);
-    return scenario::makeTrafficModel(spec)->generate(rng, twoPool());
+    return drain(*scenario::makeTrafficModel(spec)->open(rng, twoPool()));
 }
 
 TEST(StreamingAzure, SuiteNamedRowsPinTheirFunction)
@@ -564,10 +457,10 @@ TEST(StreamingAzure, InvocationsAndDurationCapEmission)
     byCount.azurePath = path;
     byCount.invocations = 2;
     Rng rng(1);
-    EXPECT_EQ(scenario::makeTrafficModel(byCount)
-                  ->generate(rng, twoPool())
-                  .size(),
-              2u);
+    EXPECT_EQ(
+        drain(*scenario::makeTrafficModel(byCount)->open(rng, twoPool()))
+            .size(),
+        2u);
     scenario::TrafficSpec byTime;
     byTime.duration = 60.0; // first minute only
     const auto arrivals = azureArrivals(path, 42, byTime);
@@ -667,7 +560,7 @@ TEST(StreamingAzureDeath, MalformedTraces)
                 "azure.rate_scale");
 }
 
-// ---- the new scenario keys -------------------------------------------
+// ---- the azure scenario keys -----------------------------------------
 
 TEST(StreamingScenarioKeys, AzureAndArrivalsKeysParse)
 {
@@ -675,20 +568,15 @@ TEST(StreamingScenarioKeys, AzureAndArrivalsKeysParse)
         scenario::ScenarioSpec::fromString("traffic = azure\n"
                                            "azure.path = day.csv\n"
                                            "azure.max_rows = 1000\n"
-                                           "azure.rate_scale = 2.5\n"
-                                           "arrivals = upfront\n");
+                                           "azure.rate_scale = 2.5\n");
     EXPECT_EQ(spec.traffic.model, "azure");
     EXPECT_EQ(spec.traffic.azurePath, "day.csv");
     EXPECT_EQ(spec.traffic.azureMaxRows, 1000u);
     EXPECT_DOUBLE_EQ(spec.traffic.azureRateScale, 2.5);
-    EXPECT_TRUE(spec.upfrontArrivals);
     // Like trace, an azure replay with no explicit cap plays the
     // whole file instead of truncating at the generative default.
     EXPECT_EQ(spec.traffic.invocations, 0u);
 
-    EXPECT_FALSE(scenario::ScenarioSpec::fromString(
-                     "arrivals = streaming\n")
-                     .upfrontArrivals);
     EXPECT_EQ(scenario::ScenarioSpec::fromString("invocations = 70\n"
                                                  "traffic = azure\n")
                   .traffic.invocations,
@@ -703,13 +591,6 @@ TEST(StreamingScenarioKeys, RelativeAzurePathResolvesAgainstFile)
     const scenario::ScenarioSpec spec =
         scenario::ScenarioSpec::fromFile(path);
     EXPECT_EQ(spec.traffic.azurePath, ::testing::TempDir() + "day.csv");
-}
-
-TEST(StreamingScenarioKeysDeath, BadArrivalsValueIsFatal)
-{
-    EXPECT_EXIT(
-        (void)scenario::ScenarioSpec::fromString("arrivals = eager\n"),
-        ::testing::ExitedWithCode(1), "streaming");
 }
 
 } // namespace

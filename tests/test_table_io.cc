@@ -1,12 +1,14 @@
 /**
  * @file
  * Round-trip tests for the calibration-profile serialization: v2
- * round-trips (machine name and baselines included), legacy v1
- * parsing, and malformed-input death tests.
+ * round-trips (machine name and baselines included), hand-written
+ * tables without a machine record, and malformed-input death tests
+ * whose messages name `file:line`.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "core/discount_model.h"
@@ -143,11 +145,11 @@ TEST(TableIo, FileRoundTrip)
     EXPECT_TRUE(loaded.performance.populated(GeneratorKind::MbGen));
 }
 
-TEST(TableIo, HandWrittenV1StillLoads)
+TEST(TableIo, HandWrittenWithoutMachineLoadsAsWildcard)
 {
-    // A legacy artifact: no machine, no solo records. It must parse,
+    // A hand-built table: no machine, no solo records. It must parse,
     // carry an empty (wildcard) machine name, and hold the rows.
-    std::string text = "litmus-tables v1\n";
+    std::string text = "litmus-tables v2\n";
     for (const char *lang : {"python", "nodejs", "go"}) {
         text += std::string("baseline ") + lang +
                 " 0.7 0.2 45000000 2.5\n";
@@ -172,20 +174,8 @@ TEST(TableIo, HandWrittenV1StillLoads)
     EXPECT_EQ(loaded.congestion.levels(Language::Go,
                                        GeneratorKind::MbGen),
               (std::vector<double>{2, 8}));
-    // Wildcard artifacts price any machine.
+    // Wildcard tables price any machine.
     EXPECT_NO_FATAL_FAILURE(loaded.requireMachine("icelake-4314"));
-}
-
-TEST(TableIo, V1RejectsV2Records)
-{
-    std::stringstream machineInV1(
-        "litmus-tables v1\nmachine cascade-5218\n");
-    EXPECT_EXIT(loadProfile(machineInV1),
-                ::testing::ExitedWithCode(1), "v1");
-    std::stringstream soloInV1(
-        "litmus-tables v1\nsolo gzip-py 0.5 0.25\n");
-    EXPECT_EXIT(loadProfile(soloInV1), ::testing::ExitedWithCode(1),
-                "v1");
 }
 
 TEST(TableIo, BadHeaderFatal)
@@ -196,28 +186,35 @@ TEST(TableIo, BadHeaderFatal)
     std::stringstream v3("litmus-tables v3\n");
     EXPECT_EXIT(loadProfile(v3), ::testing::ExitedWithCode(1),
                 "bad header");
+    // The v1 format is retired: its header is rejected outright,
+    // whatever records follow.
+    std::stringstream v1(
+        "litmus-tables v1\nbaseline go 0.7 0.2 45000000 2.5\n");
+    EXPECT_EXIT(loadProfile(v1), ::testing::ExitedWithCode(1),
+                "<stream>:1: bad header 'litmus-tables v1' \\(want "
+                "litmus-tables v2\\)");
 }
 
 TEST(TableIo, TruncatedRowsFatal)
 {
     std::stringstream congestion(
-        "litmus-tables v1\ncongestion python ct 2 1.0\n");
+        "litmus-tables v2\ncongestion python ct 2 1.0\n");
     EXPECT_EXIT(loadProfile(congestion), ::testing::ExitedWithCode(1),
-                "malformed congestion row on line 2");
+                "<stream>:2: malformed congestion row");
     std::stringstream baseline("litmus-tables v2\nbaseline go 0.7\n");
     EXPECT_EXIT(loadProfile(baseline), ::testing::ExitedWithCode(1),
-                "malformed baseline on line 2");
+                "<stream>:2: malformed baseline");
     std::stringstream solo("litmus-tables v2\nsolo gzip-py 0.5\n");
     EXPECT_EXIT(loadProfile(solo), ::testing::ExitedWithCode(1),
-                "malformed solo baseline on line 2");
+                "<stream>:2: malformed solo baseline");
     std::stringstream machine("litmus-tables v2\nmachine\n");
     EXPECT_EXIT(loadProfile(machine), ::testing::ExitedWithCode(1),
-                "malformed machine record on line 2");
+                "<stream>:2: malformed machine record");
     std::stringstream performance(
         "litmus-tables v2\nperformance mb 2 1.0 1.1\n");
     EXPECT_EXIT(loadProfile(performance),
                 ::testing::ExitedWithCode(1),
-                "malformed performance row on line 2");
+                "<stream>:2: malformed performance row");
 }
 
 TEST(TableIo, GarbledFieldsFatal)
@@ -243,6 +240,31 @@ TEST(TableIo, UnknownRecordFatal)
     std::stringstream stream("litmus-tables v2\nwhatever 1 2 3\n");
     EXPECT_EXIT(loadProfile(stream), ::testing::ExitedWithCode(1),
                 "unknown record");
+}
+
+TEST(TableIo, FileErrorsNameFileAndLine)
+{
+    const std::string path =
+        ::testing::TempDir() + "litmus_bad_tables.txt";
+    const auto write = [&path](const std::string &text) {
+        std::ofstream(path) << text;
+    };
+    write("litmus-tables v2\nmachine cascade-5218\n\n"
+          "baseline cobol 0.7 0.2 45e6 2.5\n");
+    EXPECT_EXIT(loadProfile(path), ::testing::ExitedWithCode(1),
+                "litmus_bad_tables\\.txt:4: unknown language 'cobol'");
+    write("litmus-tables v2\nperformance turbo 2 1.0 1.1 1.2\n");
+    EXPECT_EXIT(loadProfile(path), ::testing::ExitedWithCode(1),
+                "litmus_bad_tables\\.txt:2: unknown generator 'turbo'");
+    write("litmus-tables v2\nsolo gzip-py\n");
+    EXPECT_EXIT(loadProfile(path), ::testing::ExitedWithCode(1),
+                "litmus_bad_tables\\.txt:2: malformed solo baseline");
+    write("litmus-tables v1\n");
+    EXPECT_EXIT(loadProfile(path), ::testing::ExitedWithCode(1),
+                "litmus_bad_tables\\.txt:1: bad header");
+    write("");
+    EXPECT_EXIT(loadProfile(path), ::testing::ExitedWithCode(1),
+                "litmus_bad_tables\\.txt:1: bad header ''");
 }
 
 TEST(TableIo, MissingFileFatal)

@@ -3,7 +3,7 @@
  * Tests for the scenario layer: pluggable traffic models (empirical
  * rate, seed determinism, trace replay exactness, malformed input),
  * declarative scenario specs, and the ScenarioRunner's bit-exact
- * equivalence with the legacy fleet path.
+ * equivalence with the cluster's default Poisson source.
  */
 
 #include <cmath>
@@ -30,11 +30,17 @@ onePool()
     return {&workload::functionByName("float-py")};
 }
 
+/** Every arrival of one stream opened on @p spec's model. */
 std::vector<Invocation>
-generate(const TrafficSpec &spec, std::uint64_t seed = 42)
+pullAll(const TrafficSpec &spec, std::uint64_t seed = 42)
 {
     Rng rng(seed);
-    return makeTrafficModel(spec)->generate(rng, onePool());
+    const auto stream = makeTrafficModel(spec)->open(rng, onePool());
+    std::vector<Invocation> out;
+    Invocation inv;
+    while (stream->next(inv))
+        out.push_back(inv);
+    return out;
 }
 
 /** Measured mean arrival rate over the generated span. */
@@ -62,7 +68,7 @@ TEST(TrafficModels, PoissonHitsConfiguredRate)
     TrafficSpec spec;
     spec.arrivalsPerSecond = 1000;
     spec.invocations = 20000;
-    const auto trace = generate(spec);
+    const auto trace = pullAll(spec);
     ASSERT_EQ(trace.size(), spec.invocations);
     EXPECT_NEAR(empiricalRate(trace), 1000.0, 50.0);
 }
@@ -75,7 +81,7 @@ TEST(TrafficModels, DiurnalHitsMeanRateAndModulates)
     spec.invocations = 20000;
     spec.diurnalPeriod = 1.0;
     spec.diurnalAmplitude = 1.0;
-    const auto trace = generate(spec);
+    const auto trace = pullAll(spec);
     ASSERT_EQ(trace.size(), spec.invocations);
     // Thinning preserves the long-run mean rate...
     EXPECT_NEAR(empiricalRate(trace), 1000.0, 60.0);
@@ -102,7 +108,7 @@ TEST(TrafficModels, BurstHitsMeanRateAndClusters)
     spec.invocations = 20000;
     spec.burstOn = 0.05;
     spec.burstOff = 0.15;
-    const auto trace = generate(spec);
+    const auto trace = pullAll(spec);
     ASSERT_EQ(trace.size(), spec.invocations);
     // Long-run mean is solved to match the configured rate.
     EXPECT_NEAR(empiricalRate(trace), 1000.0, 120.0);
@@ -124,7 +130,7 @@ TEST(TrafficModels, DurationStopsTheStream)
     spec.arrivalsPerSecond = 1000;
     spec.invocations = 0;
     spec.duration = 2.0;
-    const auto trace = generate(spec);
+    const auto trace = pullAll(spec);
     EXPECT_NEAR(static_cast<double>(trace.size()), 2000.0, 200.0);
     EXPECT_LT(trace.back().arrival, 2.0);
 }
@@ -142,8 +148,8 @@ TEST(TrafficModels, SameSeedSameTraceEveryModel)
         spec.arrivalsPerSecond = 2000;
         spec.invocations = 500;
         spec.tracePath = tracePath;
-        const auto a = generate(spec, 7);
-        const auto b = generate(spec, 7);
+        const auto a = pullAll(spec, 7);
+        const auto b = pullAll(spec, 7);
         ASSERT_EQ(a.size(), b.size()) << model;
         for (std::size_t i = 0; i < a.size(); ++i) {
             // Bit-exact timestamps and identical function choices.
@@ -152,7 +158,7 @@ TEST(TrafficModels, SameSeedSameTraceEveryModel)
             EXPECT_EQ(a[i].seq, i) << model;
         }
         if (model != "trace") {
-            const auto c = generate(spec, 8);
+            const auto c = pullAll(spec, 8);
             EXPECT_NE(a.front().arrival, c.front().arrival) << model;
         }
     }
@@ -165,7 +171,7 @@ TEST(TrafficModels, ArrivalsAreNondecreasing)
         spec.model = model;
         spec.arrivalsPerSecond = 5000;
         spec.invocations = 3000;
-        const auto trace = generate(spec);
+        const auto trace = pullAll(spec);
         for (std::size_t i = 1; i < trace.size(); ++i)
             ASSERT_GE(trace[i].arrival, trace[i - 1].arrival) << model;
     }
@@ -185,7 +191,7 @@ TEST(TraceReplay, ExactTimestampsAndNames)
     spec.model = "trace";
     spec.tracePath = path;
     spec.traceRateScale = 2.0;
-    const auto trace = generate(spec);
+    const auto trace = pullAll(spec);
     ASSERT_EQ(trace.size(), 3u);
     EXPECT_EQ(trace[0].arrival, 0.5 / 2.0);
     EXPECT_EQ(trace[1].arrival, 1.0 / 2.0);
@@ -205,10 +211,10 @@ TEST(TraceReplay, RowAndDurationCaps)
     spec.model = "trace";
     spec.tracePath = path;
     spec.invocations = 2;
-    EXPECT_EQ(generate(spec).size(), 2u);
+    EXPECT_EQ(pullAll(spec).size(), 2u);
     spec.invocations = 0;
     spec.duration = 0.3;
-    const auto byDuration = generate(spec);
+    const auto byDuration = pullAll(spec);
     ASSERT_EQ(byDuration.size(), 2u);
     EXPECT_LT(byDuration.back().arrival, 0.3);
 }
@@ -272,7 +278,7 @@ TEST(TraceReplay, PaddedColumnsParse)
     TrafficSpec spec;
     spec.model = "trace";
     spec.tracePath = path;
-    const auto trace = generate(spec);
+    const auto trace = pullAll(spec);
     ASSERT_EQ(trace.size(), 2u);
     EXPECT_EQ(trace[0].arrival, 0.1);
     EXPECT_EQ(trace[1].spec->name, "aes-go");
@@ -297,24 +303,39 @@ TEST(TrafficRegistry, BuiltinsPresentAndUnknownFatal)
 
 TEST(TrafficRegistry, CustomModelsPlugIn)
 {
+    class Ticks final : public cluster::ArrivalStream
+    {
+      public:
+        Ticks(Rng &rng, const std::vector<const FunctionSpec *> &pool)
+            : ArrivalStream("metronome"), rng_(rng.fork()), pool_(pool)
+        {
+        }
+
+      protected:
+        bool produce(Invocation &out) override
+        {
+            if (emitted_ == 100)
+                return false;
+            out.spec = pool_[rng_.below(pool_.size())];
+            out.arrival = 1e-3 * static_cast<double>(++emitted_);
+            return true;
+        }
+
+      private:
+        Rng rng_;
+        std::vector<const FunctionSpec *> pool_;
+        std::uint64_t emitted_ = 0;
+    };
     class EveryMillisecond final : public TrafficModel
     {
       public:
         std::string name() const override { return "metronome"; }
-        std::vector<Invocation>
-        generate(Rng &rng,
-                 const std::vector<const FunctionSpec *> &pool)
+        std::unique_ptr<cluster::ArrivalStream>
+        open(Rng &rng,
+             const std::vector<const FunctionSpec *> &pool)
             const override
         {
-            std::vector<Invocation> out;
-            for (std::uint64_t i = 0; i < 100; ++i) {
-                Invocation inv;
-                inv.spec = pool[rng.below(pool.size())];
-                inv.arrival = 1e-3 * static_cast<double>(i + 1);
-                inv.seq = i;
-                out.push_back(inv);
-            }
-            return out;
+            return std::make_unique<Ticks>(rng, pool);
         }
     };
     registerTrafficModel("metronome", [](const TrafficSpec &) {
@@ -322,7 +343,7 @@ TEST(TrafficRegistry, CustomModelsPlugIn)
     });
     TrafficSpec spec;
     spec.model = "metronome";
-    const auto trace = generate(spec);
+    const auto trace = pullAll(spec);
     ASSERT_EQ(trace.size(), 100u);
     EXPECT_EQ(trace.front().arrival, 1e-3);
     EXPECT_EXIT(registerTrafficModel("metronome",
@@ -471,8 +492,9 @@ TEST(ScenarioSpecDeath, MalformedScenarios)
 
 TEST(ScenarioSpecDeath, RetiredSchedulerKeyNamesFileAndLine)
 {
-    // One serving loop remains, so `scheduler` is an unknown key like
-    // any other; the fatal points at the line that still sets it.
+    // One serving loop and one arrival path remain, so `scheduler`
+    // and `arrivals` are unknown keys like any other; the fatal
+    // points at the line that still sets one.
     const std::string path = writeTempFile(
         "retired_scheduler.scenario", "fleet = cascade-5218:1\n"
                                       "scheduler = epoch\n");
@@ -480,9 +502,17 @@ TEST(ScenarioSpecDeath, RetiredSchedulerKeyNamesFileAndLine)
                 ::testing::ExitedWithCode(1),
                 "retired_scheduler\\.scenario:2: unknown scenario key "
                 "'scheduler'");
+    const std::string arrivals = writeTempFile(
+        "retired_arrivals.scenario", "fleet = cascade-5218:1\n"
+                                     "seed = 3\n"
+                                     "arrivals = upfront\n");
+    EXPECT_EXIT((void)ScenarioSpec::fromFile(arrivals),
+                ::testing::ExitedWithCode(1),
+                "retired_arrivals\\.scenario:3: unknown scenario key "
+                "'arrivals'");
 }
 
-// ---- runner equivalence with the legacy fleet path --------------------
+// ---- runner equivalence with the default fleet source -----------------
 
 /** An 8-core cut of the Cascade Lake preset, registered once so
  *  fleet specs can name it. */
@@ -502,7 +532,7 @@ testMachine()
 
 TEST(ScenarioRunner, PoissonModelMatchesLegacyClusterBitExactly)
 {
-    // The legacy path: ClusterConfig's built-in inline Poisson source.
+    // The default path: a ClusterConfig with no traffic model.
     cluster::ClusterConfig cfg;
     cfg.fleet = {{testMachine(), 2}};
     cfg.policy = cluster::DispatchPolicy::WarmthAware;
@@ -511,8 +541,8 @@ TEST(ScenarioRunner, PoissonModelMatchesLegacyClusterBitExactly)
     cfg.functionPool = onePool();
     cfg.seed = 11;
     cfg.threads = 1;
-    cluster::Cluster legacy(cfg);
-    const cluster::FleetReport &legacyReport = legacy.run();
+    cluster::Cluster byDefault(cfg);
+    const cluster::FleetReport &defaultReport = byDefault.run();
 
     // The scenario path: the same knobs through the poisson plugin.
     TrafficSpec traffic;
@@ -521,7 +551,7 @@ TEST(ScenarioRunner, PoissonModelMatchesLegacyClusterBitExactly)
     const auto model = makeTrafficModel(traffic);
     cfg.traffic = model.get();
     cluster::Cluster viaModel(cfg);
-    EXPECT_TRUE(cluster::identicalTotals(legacyReport, viaModel.run()));
+    EXPECT_TRUE(cluster::identicalTotals(defaultReport, viaModel.run()));
 }
 
 TEST(ScenarioRunner, FileAndBuilderSpecsProduceIdenticalReports)
