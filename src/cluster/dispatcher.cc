@@ -24,7 +24,7 @@ policyName(DispatchPolicy policy)
 }
 
 DispatchPolicy
-policyByName(const std::string &name)
+policyByName(const std::string &context, const std::string &name)
 {
     if (name == "round-robin" || name == "roundrobin" || name == "rr")
         return DispatchPolicy::RoundRobin;
@@ -34,7 +34,7 @@ policyByName(const std::string &name)
         return DispatchPolicy::WarmthAware;
     if (name == "cost-aware" || name == "cost")
         return DispatchPolicy::CostAware;
-    fatal("policyByName: unknown dispatch policy '", name,
+    fatal(context, ": unknown dispatch policy '", name,
           "' (want round-robin | least-loaded | warmth-aware | "
           "cost-aware)");
 }

@@ -50,8 +50,9 @@ enum class DispatchPolicy
 std::string policyName(DispatchPolicy policy);
 
 /** Parse a policy name (also accepts "rr" / "ll" / "warmth" /
- *  "cost"). */
-DispatchPolicy policyByName(const std::string &name);
+ *  "cost"); fatal() on an unknown name, prefixed with @p context. */
+DispatchPolicy policyByName(const std::string &context,
+                            const std::string &name);
 
 /** One fleet arrival awaiting dispatch. */
 struct Invocation

@@ -24,7 +24,7 @@ retryPolicyName(RetryPolicy policy)
 }
 
 RetryPolicy
-retryPolicyByName(const std::string &name)
+retryPolicyByName(const std::string &context, const std::string &name)
 {
     if (name == "drop" || name == "none")
         return RetryPolicy::Drop;
@@ -32,7 +32,7 @@ retryPolicyByName(const std::string &name)
         return RetryPolicy::RetryOnce;
     if (name == "retry-backoff" || name == "backoff")
         return RetryPolicy::RetryBackoff;
-    fatal("retryPolicyByName: unknown retry policy '", name,
+    fatal(context, ": unknown retry policy '", name,
           "' (want drop | retry-once | retry-backoff)");
 }
 
@@ -49,13 +49,13 @@ faultBillingName(FaultBilling billing)
 }
 
 FaultBilling
-faultBillingByName(const std::string &name)
+faultBillingByName(const std::string &context, const std::string &name)
 {
     if (name == "tenant-pays" || name == "tenant")
         return FaultBilling::TenantPays;
     if (name == "provider-absorbs" || name == "provider")
         return FaultBilling::ProviderAbsorbs;
-    fatal("faultBillingByName: unknown fault billing mode '", name,
+    fatal(context, ": unknown fault billing mode '", name,
           "' (want tenant-pays | provider-absorbs)");
 }
 
@@ -80,11 +80,10 @@ faultKindName(FaultKind kind)
 }
 
 std::vector<ScriptedFault>
-parseScriptedFaults(const std::string &key, const std::string &value)
+parseScriptedFaults(const std::string &context, const std::string &value)
 {
-    // The CLI packs fault overrides into one comma-separated --faults
-    // flag, so scripted lists there use ';'; scenario files may use
-    // either.
+    // ',' separates entries; ';' stays accepted so scenario files
+    // written with it keep parsing.
     std::string normalized = value;
     std::replace(normalized.begin(), normalized.end(), ';', ',');
     std::vector<ScriptedFault> out;
@@ -94,14 +93,14 @@ parseScriptedFaults(const std::string &key, const std::string &value)
         const std::string time = piece.substr(0, at);
         const auto parsedTime = parseDoubleStrict(time);
         if (!parsedTime || *parsedTime < 0)
-            fatal("'", key, "': bad fault time '", time, "' in '",
+            fatal(context, ": bad fault time '", time, "' in '",
                   piece, "' (want <seconds>[@<machine>])");
         fault.at = *parsedTime;
         if (at != std::string::npos) {
             const std::string machine = piece.substr(at + 1);
             const auto parsedMachine = parseLongStrict(machine);
             if (!parsedMachine || *parsedMachine < 0)
-                fatal("'", key, "': bad machine index '", machine,
+                fatal(context, ": bad machine index '", machine,
                       "' in '", piece,
                       "' (want <seconds>[@<machine>])");
             fault.machine = static_cast<unsigned>(*parsedMachine);

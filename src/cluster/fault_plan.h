@@ -63,8 +63,10 @@ enum class RetryPolicy
 /** Display name: "drop" / "retry-once" / "retry-backoff". */
 std::string retryPolicyName(RetryPolicy policy);
 
-/** Parse a policy name (also accepts "once" / "backoff"). */
-RetryPolicy retryPolicyByName(const std::string &name);
+/** Parse a policy name (also accepts "once" / "backoff"); fatal()
+ *  on an unknown name, prefixed with @p context. */
+RetryPolicy retryPolicyByName(const std::string &context,
+                              const std::string &name);
 
 /** Who pays for the partial work a crash destroyed. */
 enum class FaultBilling
@@ -82,8 +84,10 @@ enum class FaultBilling
 /** Display name: "tenant-pays" / "provider-absorbs". */
 std::string faultBillingName(FaultBilling billing);
 
-/** Parse a billing mode (also accepts "tenant" / "provider"). */
-FaultBilling faultBillingByName(const std::string &name);
+/** Parse a billing mode (also accepts "tenant" / "provider");
+ *  fatal() on an unknown name, prefixed with @p context. */
+FaultBilling faultBillingByName(const std::string &context,
+                                const std::string &name);
 
 /** One scripted (explicitly timed) fault. */
 struct ScriptedFault
@@ -94,12 +98,13 @@ struct ScriptedFault
 
 /**
  * Parse a scripted-fault list: "time[@machine]" entries separated by
- * ',' or ';' (the CLI uses ';' because ',' separates --faults
- * pieces), e.g. "0.5@1;2.0". The machine defaults to 0. fatal() on
- * malformed entries; machine indices are range-checked at compile.
+ * ',' (';' is accepted too, as existing scenario files use it), e.g.
+ * "0.5@1,2.0". The machine defaults to 0. fatal() on malformed
+ * entries, prefixed with @p context; machine indices are
+ * range-checked at compile.
  */
 std::vector<ScriptedFault>
-parseScriptedFaults(const std::string &key, const std::string &value);
+parseScriptedFaults(const std::string &context, const std::string &value);
 
 /**
  * Declarative fault campaign. The scenario fault.* keys map

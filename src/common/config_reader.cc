@@ -31,7 +31,8 @@ ConfigReader::fromString(const std::string &text,
 {
     ConfigReader reader;
     reader.source_ = source;
-    const std::string label = source.empty() ? "ConfigReader" : source;
+    // Errors read "path:N: ...", like where() locators.
+    const std::string label = source.empty() ? "<config>" : source;
     std::istringstream in(text);
     std::string line;
     int lineNo = 0;
@@ -45,12 +46,11 @@ ConfigReader::fromString(const std::string &text,
             continue;
         const auto eq = line.find('=');
         if (eq == std::string::npos)
-            fatal(label, ": line ", lineNo, " is not key=value: '",
-                  line, "'");
+            fatal(label, ":", lineNo, ": not key=value: '", line, "'");
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
         if (key.empty())
-            fatal(label, ": empty key on line ", lineNo);
+            fatal(label, ":", lineNo, ": empty key");
         reader.set(key, value);
         reader.lines_[key] = lineNo;
     }

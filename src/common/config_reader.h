@@ -30,9 +30,10 @@ class ConfigReader
     ConfigReader() = default;
 
     /**
-     * Parse from text; fatal() on malformed lines. @p source names
-     * the text's origin (a file path) in diagnostics; empty means
-     * in-memory text.
+     * Parse from text; fatal() on malformed lines with a
+     * "source:line: " prefix. @p source names the text's origin (a
+     * file path) in diagnostics; empty means in-memory text, shown
+     * as "<config>".
      */
     static ConfigReader fromString(const std::string &text,
                                    const std::string &source = "");

@@ -13,39 +13,31 @@ namespace litmus::scenario
 namespace
 {
 
-long
-parseLong(const std::string &key, const std::string &value)
+/** An integer >= @p floor, as the field type @p T. */
+template <typename T>
+T
+parseCount(const std::string &context, const std::string &value,
+           long floor = 0)
 {
     const auto parsed = parseLongStrict(value);
     if (!parsed)
-        fatal("scenario key '", key, "' expects an integer, got '",
-              value, "'");
-    return *parsed;
-}
-
-long
-parseLongAtLeast(const std::string &key, const std::string &value,
-                 long floor)
-{
-    const long parsed = parseLong(key, value);
-    if (parsed < floor)
-        fatal("scenario key '", key, "' must be >= ", floor, ", got ",
-              parsed);
-    return parsed;
+        fatal(context, " expects an integer, got '", value, "'");
+    if (*parsed < floor)
+        fatal(context, " must be >= ", floor, ", got ", *parsed);
+    return static_cast<T>(*parsed);
 }
 
 double
-parseDouble(const std::string &key, const std::string &value)
+parseDouble(const std::string &context, const std::string &value)
 {
     const auto parsed = parseDoubleStrict(value);
     if (!parsed)
-        fatal("scenario key '", key, "' expects a finite number, "
-              "got '", value, "'");
+        fatal(context, " expects a finite number, got '", value, "'");
     return *parsed;
 }
 
 bool
-parseBool(const std::string &key, const std::string &value)
+parseBool(const std::string &context, const std::string &value)
 {
     if (value == "true" || value == "yes" || value == "on" ||
         value == "1")
@@ -53,24 +45,220 @@ parseBool(const std::string &key, const std::string &value)
     if (value == "false" || value == "no" || value == "off" ||
         value == "0")
         return false;
-    fatal("scenario key '", key, "' expects a boolean "
+    fatal(context, " expects a boolean "
           "(true/false/yes/no/on/off/1/0), got '", value, "'");
 }
+
+using Text = const std::string &;
+
+/**
+ * The scenario schema: every key a file, ScenarioSpec::set() or a
+ * litmus_fleet flag accepts, sorted by name. Each row parses its
+ * value into the spec; @c context ("file:line: scenario key 'k'")
+ * prefixes every diagnostic.
+ */
+constexpr ScenarioKey kSchema[] = {
+    {"azure.max_rows",
+     "ingest at most this many azure function rows (0 = all)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.traffic.azureMaxRows = parseCount<std::uint64_t>(c, v);
+     }},
+    {"azure.path",
+     "Azure-dataset-shaped CSV to ingest (traffic = azure)",
+     [](ScenarioSpec &s, Text v, Text) { s.traffic.azurePath = v; }},
+    {"azure.rate_scale", "azure replay speedup: 2 = twice as fast",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.traffic.azureRateScale = parseDouble(c, v);
+     }},
+    {"burst.idle_fraction",
+     "burst: off-state rate as a fraction of the mean, in [0, 1]",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.traffic.burstIdleFraction = parseDouble(c, v);
+     }},
+    {"burst.off", "burst: mean off-state duration (s)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.traffic.burstOff = parseDouble(c, v);
+     }},
+    {"burst.on", "burst: mean on-state duration (s)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.traffic.burstOn = parseDouble(c, v);
+     }},
+    {"calibrate",
+     "calibrate every fleet machine type in-process (Litmus pricing "
+     "without tables)",
+     [](ScenarioSpec &s, Text v, Text c) { s.calibrate = parseBool(c, v); }},
+    {"calibration_levels",
+     "level cap for in-process calibration (0 = full sweep)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.calibrationLevels = parseCount<unsigned>(c, v);
+     }},
+    {"diurnal.amplitude", "diurnal: relative rate swing, in [0, 1]",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.traffic.diurnalAmplitude = parseDouble(c, v);
+     }},
+    {"diurnal.period", "diurnal: length of one load cycle (s)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.traffic.diurnalPeriod = parseDouble(c, v);
+     }},
+    {"diurnal.phase", "diurnal: phase offset as a fraction of a period",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.traffic.diurnalPhase = parseDouble(c, v);
+     }},
+    {"drain_cap", "simulated seconds allowed to drain after arrivals",
+     [](ScenarioSpec &s, Text v, Text c) { s.drainCap = parseDouble(c, v); }},
+    {"duration",
+     "stop generating arrivals at this simulated time (s; 0 = until "
+     "invocations)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.traffic.duration = parseDouble(c, v);
+     }},
+    {"epoch_us", "dispatch epoch in microseconds",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.epoch = parseDouble(c, v) * 1e-6;
+     }},
+    {"fault.billing",
+     "who pays for destroyed work: tenant-pays | provider-absorbs",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.billing = cluster::faultBillingByName(c, v);
+     }},
+    {"fault.blind.at", "scripted blindness windows: t[@machine],...",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.blindAt = cluster::parseScriptedFaults(c, v);
+     }},
+    {"fault.blind.duration", "dispatcher blindness window length (s)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.blindDuration = parseDouble(c, v);
+     }},
+    {"fault.blind.mtbf",
+     "mean time between blindness windows per machine (s; 0 = off)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.blindMtbf = parseDouble(c, v);
+     }},
+    {"fault.crash.at", "scripted crashes: t[@machine],...",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.crashAt = cluster::parseScriptedFaults(c, v);
+     }},
+    {"fault.crash.mtbf",
+     "mean time between crashes per machine (s; 0 = off)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.crashMtbf = parseDouble(c, v);
+     }},
+    {"fault.crash.restart", "downtime before a crashed machine restarts",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.restartDelay = parseDouble(c, v);
+     }},
+    {"fault.retry",
+     "crash-killed invocations: drop | retry-once | retry-backoff",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.retry = cluster::retryPolicyByName(c, v);
+     }},
+    {"fault.retry.backoff", "first retry-backoff delay (s), doubling",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.retryBackoff = parseDouble(c, v);
+     }},
+    {"fault.retry.max", "retry-backoff attempts per invocation (>= 1)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.retryMax = parseCount<unsigned>(c, v, 1);
+     }},
+    {"fault.seed", "fault-schedule seed (0 = derive from seed)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.seed = parseCount<std::uint64_t>(c, v);
+     }},
+    {"fault.slow.at", "scripted slowdown windows: t[@machine],...",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.slowAt = cluster::parseScriptedFaults(c, v);
+     }},
+    {"fault.slow.duration", "slowdown window length (s)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.slowDuration = parseDouble(c, v);
+     }},
+    {"fault.slow.factor", "machine speed during a slowdown, in (0, 1]",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.slowFactor = parseDouble(c, v);
+     }},
+    {"fault.slow.mtbf",
+     "mean time between slowdown windows per machine (s; 0 = off)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.fault.slowMtbf = parseDouble(c, v);
+     }},
+    {"fleet", "machine groups, e.g. cascade-5218:8,icelake-4314:8",
+     [](ScenarioSpec &s, Text v, Text c) { s.fleet = parseFleetSpec(c, v); }},
+    {"functions",
+     "sampling pool: all | test | reference | memory | name,name,...",
+     [](ScenarioSpec &s, Text v, Text) { s.functions = v; }},
+    {"invocations", "total arrivals to serve (0 = until duration)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.traffic.invocations =
+             parseCount<std::uint64_t>(c, v);
+         s.invocationsExplicit = true;
+     }},
+    {"keepalive", "warm-container keep-alive (s)",
+     [](ScenarioSpec &s, Text v, Text c) { s.keepAlive = parseDouble(c, v); }},
+    {"policy",
+     "dispatch policy: round-robin | least-loaded | warmth-aware | "
+     "cost-aware",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.policy = cluster::policyByName(c, v);
+     }},
+    {"probes", "attach Litmus probes (unset = on iff pricing)",
+     [](ScenarioSpec &s, Text v, Text c) { s.probes = parseBool(c, v); }},
+    {"rate", "fleet arrival rate (invocations/s)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.traffic.arrivalsPerSecond = parseDouble(c, v);
+     }},
+    {"seed", "traffic and jitter seed",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.seed = parseCount<std::uint64_t>(c, v);
+     }},
+    {"sharing_factor", "Method 1 sharing factor for Litmus quotes",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.sharingFactor = parseDouble(c, v);
+     }},
+    {"tables",
+     "calibration profiles to load, comma-separated (Litmus pricing)",
+     [](ScenarioSpec &s, Text v, Text) {
+         s.tables = splitNonEmpty(v, ',');
+     }},
+    {"tables_out", "write the active calibration profiles here",
+     [](ScenarioSpec &s, Text v, Text) { s.tablesOut = v; }},
+    {"threads", "worker threads (0 = one per machine)",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.threads = parseCount<unsigned>(c, v);
+     }},
+    {"trace.path", "arrival CSV to replay (traffic = trace)",
+     [](ScenarioSpec &s, Text v, Text) { s.traffic.tracePath = v; }},
+    {"trace.rate_scale", "trace replay speedup: 2 = twice as fast",
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.traffic.traceRateScale = parseDouble(c, v);
+     }},
+    {"traffic", "traffic model: poisson | diurnal | burst | trace | azure",
+     [](ScenarioSpec &s, Text v, Text) {
+         s.traffic.model = v;
+         // The 10000-arrival default is a stop condition for the
+         // generative models; a replay must not silently truncate
+         // its file to it.
+         if ((v == "trace" || v == "azure") && !s.invocationsExplicit)
+             s.traffic.invocations = 0;
+     }},
+};
+
+static_assert(std::ranges::is_sorted(kSchema, {}, &ScenarioKey::name),
+              "kSchema must stay sorted by key");
 
 /** The known-keys list as one comma-joined string (diagnostics). */
 std::string
 knownKeyListing()
 {
     std::string known;
-    for (const std::string &k : ScenarioSpec::knownKeys())
-        known += (known.empty() ? "" : ", ") + k;
+    for (const ScenarioKey &row : kSchema)
+        known += (known.empty() ? "" : ", ") + std::string(row.name);
     return known;
 }
 
 } // namespace
 
 std::vector<cluster::MachineGroup>
-parseFleetSpec(const std::string &spec)
+parseFleetSpec(const std::string &context, const std::string &spec)
 {
     std::vector<cluster::MachineGroup> fleet;
     for (const std::string &piece : splitNonEmpty(spec, ',')) {
@@ -81,167 +269,54 @@ parseFleetSpec(const std::string &spec)
             const std::string count = piece.substr(colon + 1);
             const auto parsed = parseLongStrict(count);
             if (!parsed || *parsed < 1)
-                fatal("fleet spec: bad machine count '", count,
+                fatal(context, ": bad machine count '", count,
                       "' in '", piece, "' (want <type>:<count>)");
             group.count = static_cast<unsigned>(*parsed);
         }
         fleet.push_back(group);
     }
     if (fleet.empty())
-        fatal("fleet spec: empty fleet listing");
+        fatal(context, ": empty fleet listing");
     return fleet;
 }
 
 ScenarioSpec &
-ScenarioSpec::set(const std::string &key, const std::string &value)
+ScenarioSpec::set(const std::string &key, const std::string &value,
+                  const std::string &where)
 {
-    if (key == "fleet") {
-        fleet = parseFleetSpec(value);
-    } else if (key == "policy") {
-        policy = cluster::policyByName(value);
-    } else if (key == "traffic") {
-        traffic.model = value;
-        // The 10000-arrival default is a stop condition for the
-        // generative models; a replay must not silently truncate its
-        // file to it.
-        if ((value == "trace" || value == "azure") &&
-            !invocationsExplicit)
-            traffic.invocations = 0;
-    } else if (key == "rate") {
-        traffic.arrivalsPerSecond = parseDouble(key, value);
-    } else if (key == "invocations") {
-        traffic.invocations = static_cast<std::uint64_t>(
-            parseLongAtLeast(key, value, 0));
-        invocationsExplicit = true;
-    } else if (key == "duration") {
-        traffic.duration = parseDouble(key, value);
-    } else if (key == "diurnal.period") {
-        traffic.diurnalPeriod = parseDouble(key, value);
-    } else if (key == "diurnal.amplitude") {
-        traffic.diurnalAmplitude = parseDouble(key, value);
-    } else if (key == "diurnal.phase") {
-        traffic.diurnalPhase = parseDouble(key, value);
-    } else if (key == "burst.on") {
-        traffic.burstOn = parseDouble(key, value);
-    } else if (key == "burst.off") {
-        traffic.burstOff = parseDouble(key, value);
-    } else if (key == "burst.idle_fraction") {
-        traffic.burstIdleFraction = parseDouble(key, value);
-    } else if (key == "trace.path") {
-        traffic.tracePath = value;
-    } else if (key == "trace.rate_scale") {
-        traffic.traceRateScale = parseDouble(key, value);
-    } else if (key == "azure.path") {
-        traffic.azurePath = value;
-    } else if (key == "azure.max_rows") {
-        traffic.azureMaxRows = static_cast<std::uint64_t>(
-            parseLongAtLeast(key, value, 0));
-    } else if (key == "azure.rate_scale") {
-        traffic.azureRateScale = parseDouble(key, value);
-    } else if (key == "functions") {
-        functions = value;
-    } else if (key == "seed") {
-        seed = static_cast<std::uint64_t>(
-            parseLongAtLeast(key, value, 0));
-    } else if (key == "epoch_us") {
-        epoch = parseDouble(key, value) * 1e-6;
-    } else if (key == "keepalive") {
-        keepAlive = parseDouble(key, value);
-    } else if (key == "threads") {
-        threads = static_cast<unsigned>(
-            parseLongAtLeast(key, value, 0));
-    } else if (key == "drain_cap") {
-        drainCap = parseDouble(key, value);
-    } else if (key == "calibrate") {
-        calibrate = parseBool(key, value);
-    } else if (key == "calibration_levels") {
-        calibrationLevels = static_cast<unsigned>(
-            parseLongAtLeast(key, value, 0));
-    } else if (key == "tables") {
-        tables = splitNonEmpty(value, ',');
-    } else if (key == "tables_out") {
-        tablesOut = value;
-    } else if (key == "probes") {
-        probes = parseBool(key, value);
-    } else if (key == "sharing_factor") {
-        sharingFactor = parseDouble(key, value);
-    } else if (key == "fault.seed") {
-        fault.seed = static_cast<std::uint64_t>(
-            parseLongAtLeast(key, value, 0));
-    } else if (key == "fault.crash.mtbf") {
-        fault.crashMtbf = parseDouble(key, value);
-    } else if (key == "fault.crash.restart") {
-        fault.restartDelay = parseDouble(key, value);
-    } else if (key == "fault.crash.at") {
-        fault.crashAt = cluster::parseScriptedFaults(key, value);
-    } else if (key == "fault.slow.mtbf") {
-        fault.slowMtbf = parseDouble(key, value);
-    } else if (key == "fault.slow.duration") {
-        fault.slowDuration = parseDouble(key, value);
-    } else if (key == "fault.slow.factor") {
-        fault.slowFactor = parseDouble(key, value);
-    } else if (key == "fault.slow.at") {
-        fault.slowAt = cluster::parseScriptedFaults(key, value);
-    } else if (key == "fault.blind.mtbf") {
-        fault.blindMtbf = parseDouble(key, value);
-    } else if (key == "fault.blind.duration") {
-        fault.blindDuration = parseDouble(key, value);
-    } else if (key == "fault.blind.at") {
-        fault.blindAt = cluster::parseScriptedFaults(key, value);
-    } else if (key == "fault.retry") {
-        fault.retry = cluster::retryPolicyByName(value);
-    } else if (key == "fault.retry.max") {
-        fault.retryMax = static_cast<unsigned>(
-            parseLongAtLeast(key, value, 1));
-    } else if (key == "fault.retry.backoff") {
-        fault.retryBackoff = parseDouble(key, value);
-    } else if (key == "fault.billing") {
-        fault.billing = cluster::faultBillingByName(value);
-    } else {
-        fatal("unknown scenario key '", key, "' (known: ",
+    const std::string prefix = where.empty() ? "" : where + ": ";
+    const auto row = std::ranges::lower_bound(kSchema, key, {},
+                                              &ScenarioKey::name);
+    if (row == std::end(kSchema) || row->name != key)
+        fatal(prefix, "unknown scenario key '", key, "' (known: ",
               knownKeyListing(), ")");
-    }
+    row->apply(*this, value, prefix + "scenario key '" + key + "'");
     return *this;
+}
+
+std::span<const ScenarioKey>
+ScenarioSpec::schema()
+{
+    return kSchema;
 }
 
 std::vector<std::string>
 ScenarioSpec::knownKeys()
 {
-    return {"azure.max_rows", "azure.path",
-            "azure.rate_scale",
-            "burst.idle_fraction", "burst.off", "burst.on",
-            "calibrate", "calibration_levels", "diurnal.amplitude",
-            "diurnal.period", "diurnal.phase", "drain_cap", "duration",
-            "epoch_us", "fault.billing",
-            "fault.blind.at", "fault.blind.duration",
-            "fault.blind.mtbf", "fault.crash.at", "fault.crash.mtbf",
-            "fault.crash.restart", "fault.retry",
-            "fault.retry.backoff", "fault.retry.max", "fault.seed",
-            "fault.slow.at", "fault.slow.duration",
-            "fault.slow.factor", "fault.slow.mtbf", "fleet",
-            "functions", "invocations", "keepalive", "policy",
-            "probes", "rate", "seed", "sharing_factor",
-            "tables",
-            "tables_out", "threads", "trace.path", "trace.rate_scale",
-            "traffic"};
+    std::vector<std::string> keys;
+    for (const ScenarioKey &row : kSchema)
+        keys.emplace_back(row.name);
+    return keys;
 }
 
 ScenarioSpec
 ScenarioSpec::fromConfig(const ConfigReader &config)
 {
     ScenarioSpec spec;
-    const std::vector<std::string> known = knownKeys();
-    for (const std::string &key : config.keys()) {
-        // Typos surface with the offending line, not just the key:
-        // "examples/x.scenario:12: unknown scenario key ...".
-        if (!std::binary_search(known.begin(), known.end(), key)) {
-            const std::string where = config.where(key);
-            fatal(where.empty() ? "scenario" : where,
-                  ": unknown scenario key '", key, "' (known: ",
-                  knownKeyListing(), ")");
-        }
-        spec.set(key, config.get(key));
-    }
+    // Every error names the offending line:
+    // "examples/x.scenario:12: unknown scenario key ...".
+    for (const std::string &key : config.keys())
+        spec.set(key, config.get(key), config.where(key));
     return spec;
 }
 

@@ -19,17 +19,20 @@
  *     diurnal.amplitude = 0.9
  *     seed        = 7
  *
- * Unknown keys are fatal() so typos surface immediately. The same
- * schema is available programmatically: every key can be applied
- * with ScenarioSpec::set("key", "value"), which is what the CLI
- * shims use to overlay explicit flags onto a loaded file.
+ * One table (ScenarioSpec::schema()) is the whole schema: the file
+ * parser, ScenarioSpec::set("key", "value") and every litmus_fleet
+ * `--<key>` flag read it, so a file and a command line describe the
+ * same run. Unknown keys and malformed values are fatal() and, from
+ * a file, name its `file:line`.
  */
 
 #ifndef LITMUS_SCENARIO_SCENARIO_H
 #define LITMUS_SCENARIO_SCENARIO_H
 
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -44,13 +47,31 @@ namespace litmus::scenario
 {
 
 /** Parse a "type:count,type:count" fleet listing (count defaults to
- *  1); fatal() on malformed counts or an empty spec. */
+ *  1); fatal() on malformed counts or an empty spec, prefixing the
+ *  message with @p context. */
 std::vector<cluster::MachineGroup>
-parseFleetSpec(const std::string &spec);
+parseFleetSpec(const std::string &context, const std::string &spec);
+
+struct ScenarioSpec;
+
+/** One row of the scenario schema. */
+struct ScenarioKey
+{
+    /** The key as written in a file and as a `--<key>` flag. */
+    std::string_view name;
+
+    /** One-line help (litmus_fleet --help). */
+    std::string_view help;
+
+    /** Parse @p value into @p spec; @p context prefixes every
+     *  diagnostic. */
+    void (*apply)(ScenarioSpec &spec, const std::string &value,
+                  const std::string &context);
+};
 
 /**
- * The declarative scenario. Defaults mirror the litmus_fleet CLI so
- * an empty file and a flagless invocation describe the same run.
+ * The declarative scenario. The member defaults are the run an
+ * empty file (or a flagless litmus_fleet) describes.
  */
 struct ScenarioSpec
 {
@@ -113,16 +134,18 @@ struct ScenarioSpec
     bool invocationsExplicit = false;
 
     /**
-     * Apply one key=value pair — the programmatic builder and the
-     * file parser share this. fatal() on unknown keys or malformed
-     * values. Returns *this for chaining:
+     * Apply one key=value pair — the programmatic builder, the file
+     * parser and the CLI share this. fatal() on unknown keys or
+     * malformed values, prefixed with @p where (a "file:line"
+     * locator) when given. Returns *this for chaining:
      *
      *     ScenarioSpec().set("traffic", "burst").set("rate", "5000")
      */
-    ScenarioSpec &set(const std::string &key, const std::string &value);
+    ScenarioSpec &set(const std::string &key, const std::string &value,
+                      const std::string &where = "");
 
-    /** Apply every key of a parsed config, in file order. Unknown
-     *  keys fatal() with the config's file:line locator, so a typo
+    /** Apply every key of a parsed config, in file order. Every
+     *  error names the config's file:line, so a typo or a bad value
      *  in a scenario file points at the offending line. */
     static ScenarioSpec fromConfig(const ConfigReader &config);
 
@@ -142,7 +165,10 @@ struct ScenarioSpec
      *  spec and mirrors ClusterConfig::validate). */
     void validate() const;
 
-    /** The recognized keys, sorted (help text). */
+    /** The schema, sorted by key. */
+    static std::span<const ScenarioKey> schema();
+
+    /** The recognized keys, sorted (the schema's names). */
     static std::vector<std::string> knownKeys();
 };
 

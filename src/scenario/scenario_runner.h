@@ -84,7 +84,7 @@ class ScenarioRunner
 
 /** Print the standard fleet report: per-machine rows, per-type
  *  breakdown, fleet totals, and the throughput/discount footer
- *  (shared by litmus_fleet, litmus_sim, and the examples). */
+ *  (shared by litmus_fleet and the examples). */
 void printFleetReport(std::ostream &os,
                       const cluster::FleetReport &report);
 

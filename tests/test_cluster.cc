@@ -93,12 +93,15 @@ smallFleet(unsigned machines, DispatchPolicy policy,
 TEST(DispatchPolicyNames, RoundTripAndAliases)
 {
     for (DispatchPolicy policy : allPolicies())
-        EXPECT_EQ(policyByName(policyName(policy)), policy);
-    EXPECT_EQ(policyByName("rr"), DispatchPolicy::RoundRobin);
-    EXPECT_EQ(policyByName("ll"), DispatchPolicy::LeastLoaded);
-    EXPECT_EQ(policyByName("warmth"), DispatchPolicy::WarmthAware);
-    EXPECT_EXIT(policyByName("fastest"), ::testing::ExitedWithCode(1),
-                "unknown dispatch policy");
+        EXPECT_EQ(policyByName("policy", policyName(policy)), policy);
+    EXPECT_EQ(policyByName("policy", "rr"), DispatchPolicy::RoundRobin);
+    EXPECT_EQ(policyByName("policy", "ll"), DispatchPolicy::LeastLoaded);
+    EXPECT_EQ(policyByName("policy", "warmth"),
+              DispatchPolicy::WarmthAware);
+    // The caller's context leads the message.
+    EXPECT_EXIT(policyByName("policy", "fastest"),
+                ::testing::ExitedWithCode(1),
+                "policy: unknown dispatch policy 'fastest'");
 }
 
 TEST(ClusterConfig, ValidateCatchesNonsense)
@@ -218,8 +221,9 @@ TEST(Dispatcher, CostAwareWeighsSpeedAgainstCrowding)
 
 TEST(Dispatcher, PolicyNamesIncludeCostAware)
 {
-    EXPECT_EQ(policyByName("cost"), DispatchPolicy::CostAware);
-    EXPECT_EQ(policyByName("cost-aware"), DispatchPolicy::CostAware);
+    EXPECT_EQ(policyByName("policy", "cost"), DispatchPolicy::CostAware);
+    EXPECT_EQ(policyByName("policy", "cost-aware"),
+              DispatchPolicy::CostAware);
     EXPECT_EQ(policyName(DispatchPolicy::CostAware), "cost-aware");
     EXPECT_EQ(allPolicies().size(), 4u);
 }

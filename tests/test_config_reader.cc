@@ -58,14 +58,21 @@ TEST(ConfigReader, MalformedLineFatal)
 
 TEST(ConfigReader, MalformedLineReportsLineNumber)
 {
+    // Same "path:N: " prefix as ConfigReader::where() locators.
     EXPECT_EXIT(ConfigReader::fromString("a = 1\n\n# note\nbroken\n"),
-                ::testing::ExitedWithCode(1), "line 4");
+                ::testing::ExitedWithCode(1),
+                "<config>:4: not key=value: 'broken'");
+    EXPECT_EXIT(ConfigReader::fromString("a = 1\nbroken\n", "x.conf"),
+                ::testing::ExitedWithCode(1),
+                "x\\.conf:2: not key=value: 'broken'");
 }
 
 TEST(ConfigReader, EmptyKeyFatal)
 {
     EXPECT_EXIT(ConfigReader::fromString("= orphan value\n"),
-                ::testing::ExitedWithCode(1), "empty key");
+                ::testing::ExitedWithCode(1), "<config>:1: empty key");
+    EXPECT_EXIT(ConfigReader::fromString("a = 1\n\n = v\n", "x.conf"),
+                ::testing::ExitedWithCode(1), "x\\.conf:3: empty key");
 }
 
 TEST(ConfigReader, CommentedEqualsIsMalformed)

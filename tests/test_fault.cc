@@ -161,28 +161,35 @@ TEST(FaultPlan, PolicyAndBillingNamesRoundTrip)
     for (RetryPolicy policy :
          {RetryPolicy::Drop, RetryPolicy::RetryOnce,
           RetryPolicy::RetryBackoff})
-        EXPECT_EQ(retryPolicyByName(retryPolicyName(policy)), policy);
-    EXPECT_EQ(retryPolicyByName("once"), RetryPolicy::RetryOnce);
-    EXPECT_EQ(retryPolicyByName("backoff"), RetryPolicy::RetryBackoff);
-    EXPECT_EXIT(retryPolicyByName("pray"),
-                ::testing::ExitedWithCode(1), "unknown retry policy");
+        EXPECT_EQ(retryPolicyByName("fault.retry",
+                                    retryPolicyName(policy)),
+                  policy);
+    EXPECT_EQ(retryPolicyByName("fault.retry", "once"),
+              RetryPolicy::RetryOnce);
+    EXPECT_EQ(retryPolicyByName("fault.retry", "backoff"),
+              RetryPolicy::RetryBackoff);
+    EXPECT_EXIT(retryPolicyByName("fault.retry", "pray"),
+                ::testing::ExitedWithCode(1),
+                "fault\\.retry: unknown retry policy");
 
     for (FaultBilling billing :
          {FaultBilling::TenantPays, FaultBilling::ProviderAbsorbs})
-        EXPECT_EQ(faultBillingByName(faultBillingName(billing)),
+        EXPECT_EQ(faultBillingByName("fault.billing",
+                                     faultBillingName(billing)),
                   billing);
-    EXPECT_EQ(faultBillingByName("tenant"), FaultBilling::TenantPays);
-    EXPECT_EQ(faultBillingByName("provider"),
+    EXPECT_EQ(faultBillingByName("fault.billing", "tenant"),
+              FaultBilling::TenantPays);
+    EXPECT_EQ(faultBillingByName("fault.billing", "provider"),
               FaultBilling::ProviderAbsorbs);
-    EXPECT_EXIT(faultBillingByName("split"),
+    EXPECT_EXIT(faultBillingByName("fault.billing", "split"),
                 ::testing::ExitedWithCode(1),
-                "unknown fault billing mode");
+                "fault\\.billing: unknown fault billing mode");
 }
 
 TEST(FaultPlan, ScriptedFaultParsing)
 {
-    // Both separators: ';' (the CLI form, ',' splits --faults pieces)
-    // and ',' (the scenario-file form); machine defaults to 0.
+    // Both separators: ',' and the ';' existing scenario files use;
+    // machine defaults to 0.
     for (const char *listing : {"0.5@1;2.0", "0.5@1,2.0"}) {
         const auto faults =
             parseScriptedFaults("fault.crash.at", listing);

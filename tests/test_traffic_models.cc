@@ -512,6 +512,31 @@ TEST(ScenarioSpecDeath, RetiredSchedulerKeyNamesFileAndLine)
                 "'arrivals'");
 }
 
+TEST(ScenarioSpecDeath, BadValueNamesFileAndLine)
+{
+    // A malformed value fails with the same file:line locator as an
+    // unknown key, whichever layer's parser rejects it.
+    const std::pair<const char *, const char *> cases[] = {
+        {"rate = abc", "expects a finite number"},
+        {"policy = fastest", "unknown dispatch policy 'fastest'"},
+        {"fleet = cascade-5218:0", "bad machine count '0'"},
+        {"fault.crash.at = x@y", "bad fault time 'x'"},
+        {"fault.retry = sometimes", "unknown retry policy 'sometimes'"},
+        {"probes = maybe", "expects a boolean"},
+    };
+    for (const auto &[line, message] : cases) {
+        const std::string path = writeTempFile(
+            "bad_value.scenario",
+            std::string("seed = 3\n# the bad line\n") + line + "\n");
+        EXPECT_EXIT((void)ScenarioSpec::fromFile(path),
+                    ::testing::ExitedWithCode(1),
+                    std::string("bad_value\\.scenario:3: scenario key "
+                                "'[a-z.]+'.*") +
+                        message)
+            << line;
+    }
+}
+
 // ---- runner equivalence with the default fleet source -----------------
 
 /** An 8-core cut of the Cascade Lake preset, registered once so

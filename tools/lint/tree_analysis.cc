@@ -211,6 +211,7 @@ parseMembers(const std::string &code, ClassInfo &cls)
 
     const auto finish = [&] {
         const std::string text = chunk;
+        const std::vector<std::size_t> textOffsets = offsets;
         reset();
         if (trimCopy(text).empty())
             return;
@@ -295,7 +296,7 @@ parseMembers(const std::string &code, ClassInfo &cls)
 
         Member m;
         m.name = name;
-        m.line = lineOfOffset(code, offsets[b]);
+        m.line = lineOfOffset(code, textOffsets[b]);
         const std::string base = baseType(head.substr(0, b));
         m.isRawMutex = isRawMutexType(base);
         m.isCapability = isCapabilityType(base);
