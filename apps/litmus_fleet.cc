@@ -64,14 +64,14 @@ main(int argc, char **argv)
     scenario::ScenarioRunner runner(std::move(spec));
 
     std::string fleetDesc;
-    for (const cluster::MachineGroup &group : runner.spec().fleet) {
+    const cluster::ClusterConfig &cfg = runner.clusterConfig();
+    for (const cluster::MachineGroup &group : cfg.fleet) {
         fleetDesc += (fleetDesc.empty() ? "" : ", ") + group.machine +
                      " x" + std::to_string(group.count);
     }
     inform("serving ", runner.traffic().name(), " traffic across ",
-           runner.clusterConfig().totalMachines(), " machines (",
-           fleetDesc, "; ",
-           cluster::policyName(runner.spec().policy), ")");
+           cfg.totalMachines(), " machines (", fleetDesc, "; ",
+           cluster::policyName(cfg.policy), ")");
 
     const cluster::FleetReport &report = runner.run();
     scenario::printFleetReport(std::cout, report);

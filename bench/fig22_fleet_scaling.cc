@@ -35,12 +35,12 @@ fleetScenario(unsigned machines, cluster::DispatchPolicy policy,
               std::uint64_t per_machine, double rate_per_machine)
 {
     scenario::ScenarioSpec spec;
-    spec.fleet = {{"cascade-5218", machines}};
-    spec.policy = policy;
+    spec.cluster.fleet = {{"cascade-5218", machines}};
+    spec.cluster.policy = policy;
     spec.traffic.arrivalsPerSecond = rate_per_machine * machines;
     spec.traffic.invocations = per_machine * machines;
-    spec.keepAlive = 10.0;
-    spec.seed = 7;
+    spec.cluster.keepAlive = 10.0;
+    spec.cluster.seed = 7;
     return spec;
 }
 
@@ -115,10 +115,10 @@ main()
     auto detSpec =
         fleetScenario(16, cluster::DispatchPolicy::WarmthAware,
                       perMachine, ratePerMachine);
-    detSpec.threads = 1;
+    detSpec.cluster.threads = 1;
     scenario::ScenarioRunner serial(detSpec);
     const cluster::FleetReport &serialReport = serial.run();
-    detSpec.threads = 8;
+    detSpec.cluster.threads = 8;
     scenario::ScenarioRunner threaded(detSpec);
     const cluster::FleetReport &threadedReport = threaded.run();
     const bool deterministic =

@@ -43,14 +43,14 @@ fleetScenario(cluster::DispatchPolicy policy, std::uint64_t per_machine,
               double rate_per_machine, bool pricing)
 {
     scenario::ScenarioSpec spec;
-    spec.fleet = {{"cascade-5218", kPerType},
+    spec.cluster.fleet = {{"cascade-5218", kPerType},
                   {"icelake-4314", kPerType}};
-    spec.policy = policy;
+    spec.cluster.policy = policy;
     const unsigned machines = 2 * kPerType;
     spec.traffic.arrivalsPerSecond = rate_per_machine * machines;
     spec.traffic.invocations = per_machine * machines;
-    spec.keepAlive = 10.0;
-    spec.seed = 7;
+    spec.cluster.keepAlive = 10.0;
+    spec.cluster.seed = 7;
     spec.calibrate = pricing;
     // The env cap keeps smoke/sanitizer calibrations coarse; 0 means
     // the full dedicated sweep.
@@ -164,10 +164,10 @@ main()
     auto detSpec = fleetScenario(cluster::DispatchPolicy::CostAware,
                                  perMachine, ratePerMachine,
                                  litmusPricing);
-    detSpec.threads = 1;
+    detSpec.cluster.threads = 1;
     scenario::ScenarioRunner serial(detSpec);
     const cluster::FleetReport &serialReport = serial.run();
-    detSpec.threads = 8;
+    detSpec.cluster.threads = 8;
     scenario::ScenarioRunner threaded(detSpec);
     const cluster::FleetReport &threadedReport = threaded.run();
     const bool deterministic =

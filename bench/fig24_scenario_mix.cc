@@ -102,8 +102,8 @@ main()
 
     const auto baseScenario = [&](const std::string &model) {
         scenario::ScenarioSpec spec;
-        spec.fleet = {{"cascade-5218", kMachines}};
-        spec.policy = cluster::DispatchPolicy::WarmthAware;
+        spec.cluster.fleet = {{"cascade-5218", kMachines}};
+        spec.cluster.policy = cluster::DispatchPolicy::WarmthAware;
         spec.traffic.model = model;
         spec.traffic.arrivalsPerSecond = rate;
         spec.traffic.invocations = invocations;
@@ -112,8 +112,8 @@ main()
         spec.traffic.burstOn = std::max(0.02, span / 10);
         spec.traffic.burstOff = std::max(0.06, 3 * span / 10);
         spec.traffic.tracePath = tracePath;
-        spec.keepAlive = 10.0;
-        spec.seed = 7;
+        spec.cluster.keepAlive = 10.0;
+        spec.cluster.seed = 7;
         spec.calibrate = litmusPricing;
         spec.calibrationLevels = pricing::envOr("LITMUS_CAL_LEVELS", 0);
         return spec;
@@ -129,10 +129,10 @@ main()
     for (const std::string model :
          {"poisson", "diurnal", "burst", "trace"}) {
         auto spec = baseScenario(model);
-        spec.threads = 1;
+        spec.cluster.threads = 1;
         scenario::ScenarioRunner serial(spec);
         const cluster::FleetReport &report = serial.run();
-        spec.threads = 8;
+        spec.cluster.threads = 8;
         scenario::ScenarioRunner threaded(spec);
         const bool deterministic =
             identicalTotals(report, threaded.run());
@@ -147,7 +147,7 @@ main()
         // arrival stream again (same arrival seed => identical
         // stream) and measure count over its span — the post-drain
         // makespan would understate it.
-        Rng traceRng(cluster::deriveArrivalSeed(spec.seed));
+        Rng traceRng(cluster::deriveArrivalSeed(spec.cluster.seed));
         const auto stream = serial.traffic().open(
             traceRng, serial.clusterConfig().functionPool);
         cluster::Invocation last;

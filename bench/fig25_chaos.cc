@@ -83,20 +83,20 @@ main()
     // drain.
     const auto baseScenario = [&](cluster::RetryPolicy retry) {
         scenario::ScenarioSpec spec;
-        spec.fleet = {{"cascade-5218", kMachines}};
-        spec.policy = cluster::DispatchPolicy::LeastLoaded;
+        spec.cluster.fleet = {{"cascade-5218", kMachines}};
+        spec.cluster.policy = cluster::DispatchPolicy::LeastLoaded;
         spec.traffic.model = "poisson";
         spec.traffic.arrivalsPerSecond = rate;
         spec.traffic.invocations = invocations;
-        spec.keepAlive = 10.0;
-        spec.seed = 11;
-        spec.fault.crashMtbf = span / 4;
-        spec.fault.restartDelay = std::max(1e-3, span / 25);
-        spec.fault.crashAt = {{span * 0.25, 0}, {span * 0.6, 1}};
-        spec.fault.retry = retry;
-        spec.fault.retryMax = 4;
-        spec.fault.retryBackoff = std::max(1e-3, span / 50);
-        spec.fault.billing = cluster::FaultBilling::ProviderAbsorbs;
+        spec.cluster.keepAlive = 10.0;
+        spec.cluster.seed = 11;
+        spec.cluster.faults.crashMtbf = span / 4;
+        spec.cluster.faults.restartDelay = std::max(1e-3, span / 25);
+        spec.cluster.faults.crashAt = {{span * 0.25, 0}, {span * 0.6, 1}};
+        spec.cluster.faults.retry = retry;
+        spec.cluster.faults.retryMax = 4;
+        spec.cluster.faults.retryBackoff = std::max(1e-3, span / 50);
+        spec.cluster.faults.billing = cluster::FaultBilling::ProviderAbsorbs;
         return spec;
     };
 
@@ -105,9 +105,9 @@ main()
     {
         const auto spec = baseScenario(cluster::RetryPolicy::Drop);
         const auto planA = cluster::FaultPlan::compile(
-            spec.fault, kMachines, span, spec.seed);
+            spec.cluster.faults, kMachines, span, spec.cluster.seed);
         const auto planB = cluster::FaultPlan::compile(
-            spec.fault, kMachines, span, spec.seed);
+            spec.cluster.faults, kMachines, span, spec.cluster.seed);
         if (planA.events().size() != planB.events().size())
             fatal("fig25: fault plan not replay-identical");
         for (std::size_t i = 0; i < planA.events().size(); ++i) {
@@ -133,10 +133,10 @@ main()
     const auto runCell = [&](const std::string &name,
                              scenario::ScenarioSpec spec)
         -> cluster::FleetReport {
-        spec.threads = 1;
+        spec.cluster.threads = 1;
         scenario::ScenarioRunner serial(spec);
         const cluster::FleetReport report = serial.run();
-        spec.threads = 8;
+        spec.cluster.threads = 8;
         scenario::ScenarioRunner threaded(spec);
         const bool deterministic =
             identicalTotals(report, threaded.run());
@@ -210,7 +210,7 @@ main()
     // twin of the backoff cell executes the identical schedule, so
     // its billed seconds must equal the provider's billed + absorbed.
     auto tenantSpec = backoffSpec;
-    tenantSpec.fault.billing = cluster::FaultBilling::TenantPays;
+    tenantSpec.cluster.faults.billing = cluster::FaultBilling::TenantPays;
     const auto tenantReport = runCell("tenant-pays", tenantSpec);
     if (tenantReport.absorbedCpuSeconds != 0)
         fatal("fig25: tenant-pays absorbed work");
@@ -224,11 +224,11 @@ main()
 
     // --- Full chaos: slowdown + blindness on top of crashes. -------
     auto chaosSpec = baseScenario(cluster::RetryPolicy::RetryBackoff);
-    chaosSpec.fault.slowMtbf = span / 3;
-    chaosSpec.fault.slowDuration = std::max(2e-3, span / 10);
-    chaosSpec.fault.slowFactor = 0.6;
-    chaosSpec.fault.blindMtbf = span / 3;
-    chaosSpec.fault.blindDuration = std::max(2e-3, span / 12);
+    chaosSpec.cluster.faults.slowMtbf = span / 3;
+    chaosSpec.cluster.faults.slowDuration = std::max(2e-3, span / 10);
+    chaosSpec.cluster.faults.slowFactor = 0.6;
+    chaosSpec.cluster.faults.blindMtbf = span / 3;
+    chaosSpec.cluster.faults.blindDuration = std::max(2e-3, span / 12);
     const auto chaosReport = runCell("full-chaos", chaosSpec);
 
     table.print(std::cout);

@@ -108,11 +108,11 @@ scenario::ScenarioSpec
 cellSpec(const std::string &path)
 {
     scenario::ScenarioSpec spec;
-    spec.fleet = {{"cascade-5218", 2}};
+    spec.cluster.fleet = {{"cascade-5218", 2}};
     spec.set("traffic", "azure"); // drops the 10000-arrival default
     spec.traffic.azurePath = path;
-    spec.keepAlive = 5.0;
-    spec.seed = 7;
+    spec.cluster.keepAlive = 5.0;
+    spec.cluster.seed = 7;
     return spec;
 }
 
@@ -166,11 +166,11 @@ requireIdentical(const Outcome &a, const Outcome &b,
 double
 timeToFirstArrival(const scenario::ScenarioSpec &spec)
 {
-    const auto pool = spec.functionPool();
+    const auto &pool = spec.cluster.functionPool;
     // LITMUS-LINT-ALLOW(wall-clock): time-to-first-dispatch is the measurement
     const auto t0 = std::chrono::steady_clock::now();
     const auto model = scenario::makeTrafficModel(spec.traffic);
-    Rng rng(cluster::deriveArrivalSeed(spec.seed));
+    Rng rng(cluster::deriveArrivalSeed(spec.cluster.seed));
     auto stream = model->open(rng, pool);
     cluster::Invocation inv;
     if (!stream->next(inv))
@@ -289,12 +289,12 @@ main()
     for (const bool chaos : {false, true}) {
         const auto withChaos = [&](unsigned threads) {
             auto spec = cellSpec(diffPath);
-            spec.threads = threads;
+            spec.cluster.threads = threads;
             if (chaos) {
-                spec.fault.crashMtbf = 20.0;
-                spec.fault.restartDelay = 1.0;
-                spec.fault.retry = cluster::RetryPolicy::RetryBackoff;
-                spec.fault.retryBackoff = 0.5;
+                spec.cluster.faults.crashMtbf = 20.0;
+                spec.cluster.faults.restartDelay = 1.0;
+                spec.cluster.faults.retry = cluster::RetryPolicy::RetryBackoff;
+                spec.cluster.faults.retryBackoff = 0.5;
             }
             return runOutcome(std::move(spec));
         };

@@ -53,6 +53,7 @@
 
 #include "bench_util.h"
 #include "cluster/cluster.h"
+#include "scenario/traffic_model.h"
 #include "workload/program.h"
 #include "sim/machine_catalog.h"
 
@@ -178,11 +179,14 @@ runFleet(bool fast_forward, std::uint64_t per_machine, double rate,
 {
     const Seconds quantum = 50e-6;
     const unsigned machines = 4;
+    scenario::TrafficSpec poisson;
+    poisson.arrivalsPerSecond = rate * machines;
+    poisson.invocations = per_machine * machines;
+    const auto traffic = scenario::makeTrafficModel(poisson);
     cluster::ClusterConfig cfg;
     cfg.fleet = {{"cascade-5218", machines}};
     cfg.policy = cluster::DispatchPolicy::WarmthAware;
-    cfg.arrivalsPerSecond = rate * machines;
-    cfg.invocations = per_machine * machines;
+    cfg.traffic = traffic.get();
     cfg.keepAlive = 10.0;
     cfg.seed = 7;
     cfg.threads = 1; // serial: the wall-clock ratio measures the

@@ -1,7 +1,6 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <thread>
 #include <unordered_map>
@@ -61,15 +60,6 @@ ClusterConfig::validate() const
         fatal("ClusterConfig: functionPool is empty — traffic needs "
               "at least one function to sample (the default is "
               "workload::allFunctions())");
-    // With an external traffic model the rate/count knobs are the
-    // model's business; only the default Poisson source needs them.
-    if (!traffic) {
-        if (arrivalsPerSecond <= 0 || !std::isfinite(arrivalsPerSecond))
-            fatal("ClusterConfig: arrival rate must be positive and "
-                  "finite");
-        if (invocations == 0)
-            fatal("ClusterConfig: need at least one invocation");
-    }
     if (epoch <= 0)
         fatal("ClusterConfig: epoch must be positive");
     if (keepAlive < 0)
@@ -248,6 +238,9 @@ Cluster::Cluster(ClusterConfig cfg)
     : cfg_(std::move(cfg)), rng_(cfg_.seed)
 {
     cfg_.validate();
+    if (!cfg_.traffic)
+        fatal("ClusterConfig: traffic is required — the cluster "
+              "generates no arrivals; set it to a TrafficSource");
     dispatcher_ = makeDispatcher(cfg_.policy);
 
     // Fleet groups and discount-model keys may both use catalog
@@ -943,21 +936,14 @@ Cluster::run()
     // thread counts, and pulling the stream lazily cannot perturb any
     // other draw.
     Rng trafficRng(deriveArrivalSeed(cfg_.seed));
-    if (cfg_.traffic) {
-        s.stream = cfg_.traffic->open(trafficRng, cfg_.functionPool);
-        if (s.stream == nullptr)
-            fatal("Cluster::run: traffic model '",
-                  cfg_.traffic->name(), "' opened a null stream");
-        if (s.stream->peek() == nullptr)
-            fatal("Cluster::run: traffic model '",
-                  cfg_.traffic->name(),
-                  "' generated no arrivals — check its rate/"
-                  "invocations/duration knobs");
-    } else {
-        s.stream = openPoissonStream(trafficRng, cfg_.arrivalsPerSecond,
-                                     cfg_.invocations, 0,
-                                     cfg_.functionPool);
-    }
+    s.stream = cfg_.traffic->open(trafficRng, cfg_.functionPool);
+    if (s.stream == nullptr)
+        fatal("Cluster::run: traffic model '", cfg_.traffic->name(),
+              "' opened a null stream");
+    if (s.stream->peek() == nullptr)
+        fatal("Cluster::run: traffic model '", cfg_.traffic->name(),
+              "' generated no arrivals — check its rate/"
+              "invocations/duration knobs");
 
     // Epoch length in whole quanta, computed once on the engines'
     // integer tick grid: every inter-barrier advance below is a whole
@@ -975,10 +961,7 @@ Cluster::run()
     // stream's. The drain deadline extends over pending fault
     // transitions and queued retries: a fleet waiting out an outage
     // is making progress, not hanging.
-    Seconds horizon = cfg_.traffic
-                          ? cfg_.traffic->horizonHint()
-                          : static_cast<double>(cfg_.invocations) /
-                                cfg_.arrivalsPerSecond;
+    Seconds horizon = cfg_.traffic->horizonHint();
     if (horizon <= 0)
         horizon = s.stream->horizonHint();
     faultPlan_ = FaultPlan::compile(cfg_.faults, cfg_.totalMachines(),

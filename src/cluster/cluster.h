@@ -4,12 +4,12 @@
  *
  * The Litmus paper prices invocations on a single co-located server;
  * production platforms serve the same traffic from fleets. A Cluster
- * owns one sim::Engine per machine, pulls an open-loop arrival stream
- * lazily (the default Poisson source or any TrafficSource) at fleet
- * rates — memory stays O(stream lookahead), so day-long traces over
- * millions of invocations never materialize — routes every arrival
- * through a pluggable Dispatcher, and aggregates per-machine billing
- * into one fleet revenue/discount report.
+ * owns one sim::Engine per machine, pulls the open-loop arrival stream
+ * of its ClusterConfig::traffic source lazily at fleet rates — memory
+ * stays O(stream lookahead), so day-long traces over millions of
+ * invocations never materialize — routes every arrival through a
+ * pluggable Dispatcher, and aggregates per-machine billing into one
+ * fleet revenue/discount report.
  *
  * Execution advances between dispatch barriers on the epoch grid.
  * One serving loop takes only the barriers that matter: it advances
@@ -79,20 +79,11 @@ struct ClusterConfig
 
     /** @name Open-loop fleet traffic @{ */
     /**
-     * Pluggable arrival process (scenario models all implement the
-     * TrafficSource interface). Borrowed; must outlive the cluster.
-     * Null opens the open-loop Poisson stream (openPoissonStream)
-     * with arrivalsPerSecond/invocations below — the same stream a
-     * `poisson` scenario model opens.
+     * The arrival process (every scenario traffic model is a
+     * TrafficSource). Required: the Cluster constructor fatal()s on
+     * null. Borrowed; must outlive the cluster.
      */
     const TrafficSource *traffic = nullptr;
-
-    /** Fleet-wide mean arrival rate (invocations per second). Used
-     *  by the default Poisson source (traffic == nullptr). */
-    double arrivalsPerSecond = 2000.0;
-
-    /** Total arrivals to generate (default Poisson source). */
-    std::uint64_t invocations = 10000;
 
     /** Sampling pool (the whole Table 1 suite by default; an
      *  explicitly empty pool is a validate() error). */

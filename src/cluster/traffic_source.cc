@@ -7,47 +7,6 @@
 namespace litmus::cluster
 {
 
-namespace
-{
-
-class PoissonStream final : public ArrivalStream
-{
-  public:
-    PoissonStream(Rng &rng, double rate, std::uint64_t invocations,
-                  Seconds duration,
-                  std::vector<const workload::FunctionSpec *> pool)
-        : ArrivalStream("poisson"), rng_(rng.fork()), rate_(rate),
-          invocations_(invocations), duration_(duration),
-          pool_(std::move(pool))
-    {
-    }
-
-  protected:
-    bool produce(Invocation &out) override
-    {
-        if (invocations_ > 0 && emitted_ >= invocations_)
-            return false;
-        at_ += rng_.exponential(1.0 / rate_);
-        if (duration_ > 0 && at_ >= duration_)
-            return false;
-        out.arrival = at_;
-        out.spec = pool_[rng_.below(pool_.size())];
-        ++emitted_;
-        return true;
-    }
-
-  private:
-    Rng rng_;
-    double rate_;
-    std::uint64_t invocations_;
-    Seconds duration_;
-    std::vector<const workload::FunctionSpec *> pool_;
-    Seconds at_ = 0;
-    std::uint64_t emitted_ = 0;
-};
-
-} // namespace
-
 ArrivalStream::ArrivalStream(std::string model) : model_(std::move(model))
 {
 }
@@ -100,15 +59,6 @@ ArrivalStream::noteBuffered(std::uint64_t resident)
 {
     if (resident > bufferedMax_)
         bufferedMax_ = resident;
-}
-
-std::unique_ptr<ArrivalStream>
-openPoissonStream(Rng &rng, double rate, std::uint64_t invocations,
-                  Seconds duration,
-                  std::vector<const workload::FunctionSpec *> pool)
-{
-    return std::make_unique<PoissonStream>(rng, rate, invocations,
-                                           duration, std::move(pool));
 }
 
 std::uint64_t

@@ -2,14 +2,15 @@
  * @file
  * The arrival-process interface the cluster consumes.
  *
- * The cluster serves whatever arrival stream it is handed; *how* that
- * stream is produced (Poisson, diurnal, burst, trace replay, custom
- * registrations) is the scenario layer's business. Keeping the
- * interface here — below the scenario layer — inverts that dependency:
- * scenario::TrafficModel derives from cluster::TrafficSource, the
- * cluster never includes scenario headers, and the layer DAG
- * (common -> sim -> workload -> core -> cluster -> scenario) stays
- * acyclic.
+ * The cluster serves whatever arrival stream its
+ * ClusterConfig::traffic source opens and generates none itself; the
+ * processes (poisson, diurnal, burst, trace replay, azure ingestion)
+ * live in the scenario layer, and a custom one is any TrafficSource
+ * handed to ClusterConfig::traffic. Keeping the interface here —
+ * below the scenario layer — inverts that dependency: the scenario
+ * models derive from cluster::TrafficSource, the cluster never
+ * includes scenario headers, and the layer DAG (common -> sim ->
+ * workload -> core -> cluster -> scenario) stays acyclic.
  *
  * Arrival generation is pull-based: open() returns an ArrivalStream
  * cursor the serving loop peeks/pulls one arrival at a time, so a
@@ -118,7 +119,7 @@ class TrafficSource
   public:
     virtual ~TrafficSource() = default;
 
-    /** Human-readable model name (error messages, registries). */
+    /** Human-readable model name (error messages, report footers). */
     virtual std::string name() const = 0;
 
     /**
@@ -145,20 +146,6 @@ class TrafficSource
      */
     virtual Seconds horizonHint() const { return 0; }
 };
-
-/**
- * The open-loop Poisson process, the only one in the tree: the
- * fleet's default source (ClusterConfig::traffic == nullptr) and the
- * scenario layer's `poisson` model both open it. One fork() of
- * @p rng, then per arrival an exponential gap at @p rate followed by
- * a uniform pick from @p pool. Stops after @p invocations arrivals
- * (0 = no count limit) or at the first arrival at or past
- * @p duration (0 = no time limit).
- */
-std::unique_ptr<ArrivalStream>
-openPoissonStream(Rng &rng, double rate, std::uint64_t invocations,
-                  Seconds duration,
-                  std::vector<const workload::FunctionSpec *> pool);
 
 /**
  * The arrival-stream seed for a scenario seed: SplitMix64 substream

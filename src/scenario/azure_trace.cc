@@ -151,8 +151,8 @@ parseAzureCsv(const std::string &path, std::uint64_t maxRows)
 
         const std::vector<std::string> fields = splitCsv(line);
         if (fields.size() < kIdentityColumns + 1)
-            fatal("azure trace '", path, "' line ", lineNo,
-                  ": expected at least ", kIdentityColumns + 1,
+            fatal(path, ":", lineNo, ": expected at least ",
+                  kIdentityColumns + 1,
                   " columns (owner, app, function, trigger, counts), "
                   "got ", fields.size());
 
@@ -174,7 +174,7 @@ parseAzureCsv(const std::string &path, std::uint64_t maxRows)
             index.minuteColumns = static_cast<std::uint32_t>(
                 fields.size() - kIdentityColumns);
         if (fields.size() - kIdentityColumns != index.minuteColumns)
-            fatal("azure trace '", path, "' line ", lineNo, ": row has ",
+            fatal(path, ":", lineNo, ": row has ",
                   fields.size() - kIdentityColumns,
                   " count columns, expected ", index.minuteColumns);
 
@@ -196,9 +196,8 @@ parseAzureCsv(const std::string &path, std::uint64_t maxRows)
         for (std::uint32_t m = 0; m < index.minuteColumns; ++m) {
             const std::string &cell = fields[kIdentityColumns + m];
             if (!parseCount(cell, count))
-                fatal("azure trace '", path, "' line ", lineNo,
-                      ": bad invocation count '", cell, "' in minute ",
-                      m + 1);
+                fatal(path, ":", lineNo, ": bad invocation count '",
+                      cell, "' in minute ", m + 1);
             if (count == 0)
                 continue;
             index.buckets.push_back({m, rowIdx, count});
@@ -326,7 +325,7 @@ class AzureStream final : public cluster::ArrivalStream
     std::uint64_t emitted_ = 0;
 };
 
-class AzureTraffic final : public TrafficModel
+class AzureTraffic final : public cluster::TrafficSource
 {
   public:
     explicit AzureTraffic(TrafficSpec spec)
@@ -372,7 +371,7 @@ hex16(std::uint64_t v)
 
 } // namespace
 
-std::unique_ptr<TrafficModel>
+std::unique_ptr<cluster::TrafficSource>
 makeAzureTraceModel(const TrafficSpec &spec)
 {
     return std::make_unique<AzureTraffic>(spec);

@@ -62,9 +62,10 @@ namespace litmus::scenario
  * azureMaxRows, azureRateScale + the shared invocations/duration
  * caps). Parses and validates the file at construction — stopping at
  * the row cap — so malformed traces fail at scenario build time.
- * Registered in the traffic-model registry as "azure".
+ * makeTrafficModel() builds it for `traffic = azure`.
  */
-std::unique_ptr<TrafficModel> makeAzureTraceModel(const TrafficSpec &spec);
+std::unique_ptr<cluster::TrafficSource>
+makeAzureTraceModel(const TrafficSpec &spec);
 
 /** Knobs for the synthetic dataset-shape generator. */
 struct AzureTraceGenSpec

@@ -49,6 +49,33 @@ parseBool(const std::string &context, const std::string &value)
           "(true/false/yes/no/on/off/1/0), got '", value, "'");
 }
 
+/** A `functions` value: a named set (all, test, reference, memory)
+ *  or a comma list of suite function names. */
+std::vector<const workload::FunctionSpec *>
+parseFunctionPool(const std::string &context, const std::string &value)
+{
+    if (value.empty() || value == "all")
+        return workload::allFunctions();
+    if (value == "test")
+        return workload::testSet();
+    if (value == "reference")
+        return workload::referenceSet();
+    if (value == "memory")
+        return workload::memoryIntensiveSet();
+    std::vector<const workload::FunctionSpec *> pool;
+    for (const std::string &name : splitNonEmpty(value, ',')) {
+        const workload::FunctionSpec *spec = workload::findFunction(name);
+        if (!spec)
+            fatal(context, ": unknown function '", name, "'");
+        pool.push_back(spec);
+    }
+    if (pool.empty())
+        fatal(context, " names no functions — use a set "
+              "(all/test/reference/memory) or a comma list of suite "
+              "names");
+    return pool;
+}
+
 using Text = const std::string &;
 
 /**
@@ -105,7 +132,9 @@ constexpr ScenarioKey kSchema[] = {
          s.traffic.diurnalPhase = parseDouble(c, v);
      }},
     {"drain_cap", "simulated seconds allowed to drain after arrivals",
-     [](ScenarioSpec &s, Text v, Text c) { s.drainCap = parseDouble(c, v); }},
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.cluster.drainCap = parseDouble(c, v);
+     }},
     {"duration",
      "stop generating arrivals at this simulated time (s; 0 = until "
      "invocations)",
@@ -114,78 +143,82 @@ constexpr ScenarioKey kSchema[] = {
      }},
     {"epoch_us", "dispatch epoch in microseconds",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.epoch = parseDouble(c, v) * 1e-6;
+         s.cluster.epoch = parseDouble(c, v) * 1e-6;
      }},
     {"fault.billing",
      "who pays for destroyed work: tenant-pays | provider-absorbs",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.billing = cluster::faultBillingByName(c, v);
+         s.cluster.faults.billing = cluster::faultBillingByName(c, v);
      }},
     {"fault.blind.at", "scripted blindness windows: t[@machine],...",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.blindAt = cluster::parseScriptedFaults(c, v);
+         s.cluster.faults.blindAt = cluster::parseScriptedFaults(c, v);
      }},
     {"fault.blind.duration", "dispatcher blindness window length (s)",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.blindDuration = parseDouble(c, v);
+         s.cluster.faults.blindDuration = parseDouble(c, v);
      }},
     {"fault.blind.mtbf",
      "mean time between blindness windows per machine (s; 0 = off)",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.blindMtbf = parseDouble(c, v);
+         s.cluster.faults.blindMtbf = parseDouble(c, v);
      }},
     {"fault.crash.at", "scripted crashes: t[@machine],...",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.crashAt = cluster::parseScriptedFaults(c, v);
+         s.cluster.faults.crashAt = cluster::parseScriptedFaults(c, v);
      }},
     {"fault.crash.mtbf",
      "mean time between crashes per machine (s; 0 = off)",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.crashMtbf = parseDouble(c, v);
+         s.cluster.faults.crashMtbf = parseDouble(c, v);
      }},
     {"fault.crash.restart", "downtime before a crashed machine restarts",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.restartDelay = parseDouble(c, v);
+         s.cluster.faults.restartDelay = parseDouble(c, v);
      }},
     {"fault.retry",
      "crash-killed invocations: drop | retry-once | retry-backoff",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.retry = cluster::retryPolicyByName(c, v);
+         s.cluster.faults.retry = cluster::retryPolicyByName(c, v);
      }},
     {"fault.retry.backoff", "first retry-backoff delay (s), doubling",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.retryBackoff = parseDouble(c, v);
+         s.cluster.faults.retryBackoff = parseDouble(c, v);
      }},
     {"fault.retry.max", "retry-backoff attempts per invocation (>= 1)",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.retryMax = parseCount<unsigned>(c, v, 1);
+         s.cluster.faults.retryMax = parseCount<unsigned>(c, v, 1);
      }},
     {"fault.seed", "fault-schedule seed (0 = derive from seed)",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.seed = parseCount<std::uint64_t>(c, v);
+         s.cluster.faults.seed = parseCount<std::uint64_t>(c, v);
      }},
     {"fault.slow.at", "scripted slowdown windows: t[@machine],...",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.slowAt = cluster::parseScriptedFaults(c, v);
+         s.cluster.faults.slowAt = cluster::parseScriptedFaults(c, v);
      }},
     {"fault.slow.duration", "slowdown window length (s)",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.slowDuration = parseDouble(c, v);
+         s.cluster.faults.slowDuration = parseDouble(c, v);
      }},
     {"fault.slow.factor", "machine speed during a slowdown, in (0, 1]",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.slowFactor = parseDouble(c, v);
+         s.cluster.faults.slowFactor = parseDouble(c, v);
      }},
     {"fault.slow.mtbf",
      "mean time between slowdown windows per machine (s; 0 = off)",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.fault.slowMtbf = parseDouble(c, v);
+         s.cluster.faults.slowMtbf = parseDouble(c, v);
      }},
     {"fleet", "machine groups, e.g. cascade-5218:8,icelake-4314:8",
-     [](ScenarioSpec &s, Text v, Text c) { s.fleet = parseFleetSpec(c, v); }},
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.cluster.fleet = parseFleetSpec(c, v);
+     }},
     {"functions",
      "sampling pool: all | test | reference | memory | name,name,...",
-     [](ScenarioSpec &s, Text v, Text) { s.functions = v; }},
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.cluster.functionPool = parseFunctionPool(c, v);
+     }},
     {"invocations", "total arrivals to serve (0 = until duration)",
      [](ScenarioSpec &s, Text v, Text c) {
          s.traffic.invocations =
@@ -193,12 +226,14 @@ constexpr ScenarioKey kSchema[] = {
          s.invocationsExplicit = true;
      }},
     {"keepalive", "warm-container keep-alive (s)",
-     [](ScenarioSpec &s, Text v, Text c) { s.keepAlive = parseDouble(c, v); }},
+     [](ScenarioSpec &s, Text v, Text c) {
+         s.cluster.keepAlive = parseDouble(c, v);
+     }},
     {"policy",
      "dispatch policy: round-robin | least-loaded | warmth-aware | "
      "cost-aware",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.policy = cluster::policyByName(c, v);
+         s.cluster.policy = cluster::policyByName(c, v);
      }},
     {"probes", "attach Litmus probes (unset = on iff pricing)",
      [](ScenarioSpec &s, Text v, Text c) { s.probes = parseBool(c, v); }},
@@ -208,11 +243,11 @@ constexpr ScenarioKey kSchema[] = {
      }},
     {"seed", "traffic and jitter seed",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.seed = parseCount<std::uint64_t>(c, v);
+         s.cluster.seed = parseCount<std::uint64_t>(c, v);
      }},
     {"sharing_factor", "Method 1 sharing factor for Litmus quotes",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.sharingFactor = parseDouble(c, v);
+         s.cluster.sharingFactor = parseDouble(c, v);
      }},
     {"tables",
      "calibration profiles to load, comma-separated (Litmus pricing)",
@@ -223,7 +258,7 @@ constexpr ScenarioKey kSchema[] = {
      [](ScenarioSpec &s, Text v, Text) { s.tablesOut = v; }},
     {"threads", "worker threads (0 = one per machine)",
      [](ScenarioSpec &s, Text v, Text c) {
-         s.threads = parseCount<unsigned>(c, v);
+         s.cluster.threads = parseCount<unsigned>(c, v);
      }},
     {"trace.path", "arrival CSV to replay (traffic = trace)",
      [](ScenarioSpec &s, Text v, Text) { s.traffic.tracePath = v; }},
@@ -345,44 +380,11 @@ ScenarioSpec::fromString(const std::string &text)
     return fromConfig(ConfigReader::fromString(text));
 }
 
-std::vector<const workload::FunctionSpec *>
-ScenarioSpec::functionPool() const
-{
-    if (functions.empty() || functions == "all")
-        return workload::allFunctions();
-    if (functions == "test")
-        return workload::testSet();
-    if (functions == "reference")
-        return workload::referenceSet();
-    if (functions == "memory")
-        return workload::memoryIntensiveSet();
-    std::vector<const workload::FunctionSpec *> pool;
-    // An unknown name fatal()s with the suite listing.
-    for (const std::string &name : splitNonEmpty(functions, ','))
-        pool.push_back(&workload::functionByName(name));
-    if (pool.empty())
-        fatal("scenario: 'functions' names no functions — use a set "
-              "(all/test/reference/memory) or a comma list of suite "
-              "names");
-    return pool;
-}
-
 void
 ScenarioSpec::validate() const
 {
     traffic.validate();
-    if (fleet.empty())
-        fatal("scenario: fleet listing is empty");
-    if (epoch <= 0)
-        fatal("scenario: epoch_us must be positive");
-    if (keepAlive < 0)
-        fatal("scenario: negative keepalive");
-    if (drainCap <= 0)
-        fatal("scenario: drain_cap must be positive");
-    if (sharingFactor <= 0)
-        fatal("scenario: sharing_factor must be positive");
-    fault.validate();
-    (void)functionPool();
+    cluster.validate();
 }
 
 } // namespace litmus::scenario

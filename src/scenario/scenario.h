@@ -3,11 +3,12 @@
  * Declarative scenario specifications: one file (or one struct)
  * describing a whole fleet experiment.
  *
- * A scenario bundles everything a fleet run needs — the machine
- * groups, the dispatch policy, the traffic model and its knobs, the
- * function pool, pricing, duration and seed — in the same flat
- * key=value format the machine presets already use (ConfigReader:
- * one `key = value` per line, '#' comments). Example:
+ * A scenario bundles everything a fleet run needs — a
+ * cluster::ClusterConfig (machine groups, dispatch policy, function
+ * pool, seed, serving model, faults), the traffic model and its
+ * knobs, and the pricing sources — in the same flat key=value
+ * format the machine presets already use (ConfigReader: one
+ * `key = value` per line, '#' comments). Example:
  *
  *     # peak/off-peak load on a mixed fleet
  *     fleet       = cascade-5218:2,icelake-4314:2
@@ -75,31 +76,23 @@ struct ScenarioKey
  */
 struct ScenarioSpec
 {
-    /** @name Fleet @{ */
-    std::vector<cluster::MachineGroup> fleet = {{"cascade-5218", 4}};
-    cluster::DispatchPolicy policy =
-        cluster::DispatchPolicy::WarmthAware;
-    /** @} */
+    /**
+     * The fleet run: machines, policy, function pool, seed, serving
+     * model and fault campaign (the fleet, policy, functions, seed,
+     * epoch_us, keepalive, threads, drain_cap, sharing_factor and
+     * fault.* keys write straight into it). ScenarioRunner starts
+     * from this config and binds only `traffic` (built from the
+     * traffic spec below), `discountModels` (from the pricing
+     * sources) and `probes`.
+     */
+    cluster::ClusterConfig cluster = [] {
+        cluster::ClusterConfig cfg;
+        cfg.policy = cluster::DispatchPolicy::WarmthAware;
+        return cfg;
+    }();
 
     /** The arrival process (model name + knobs). */
     TrafficSpec traffic;
-
-    /** The fault campaign (fault.* keys; default: no faults). */
-    cluster::FaultSpec fault;
-
-    /**
-     * Sampling pool: the named set ("all", "test", "reference",
-     * "memory") or an explicit comma list of suite function names.
-     */
-    std::string functions = "all";
-
-    /** @name Serving model @{ */
-    std::uint64_t seed = 1;
-    Seconds epoch = 1e-3;
-    Seconds keepAlive = 10.0;
-    unsigned threads = 0;
-    Seconds drainCap = 600.0;
-    /** @} */
 
     /** @name Pricing @{ */
     /** Calibrate every fleet machine type in-process (memoized via
@@ -119,9 +112,6 @@ struct ScenarioSpec
 
     /** Attach Litmus probes: unset = auto (on iff pricing). */
     std::optional<bool> probes;
-
-    /** Method 1 sharing factor for Litmus quotes. */
-    double sharingFactor = 1.0;
     /** @} */
 
     /**
@@ -157,12 +147,8 @@ struct ScenarioSpec
     /** Parse from text (tests, embedded scenarios). */
     static ScenarioSpec fromString(const std::string &text);
 
-    /** Resolve the `functions` listing; fatal() on unknown names or
-     *  an empty pool. */
-    std::vector<const workload::FunctionSpec *> functionPool() const;
-
-    /** fatal() on inconsistent settings (delegates to the traffic
-     *  spec and mirrors ClusterConfig::validate). */
+    /** fatal() on inconsistent settings: the traffic spec's and
+     *  the cluster config's own checks. */
     void validate() const;
 
     /** The schema, sorted by key. */

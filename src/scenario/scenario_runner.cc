@@ -34,32 +34,19 @@ profileOutPath(const std::string &path, const std::string &type,
 } // namespace
 
 ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
-    : spec_(std::move(spec))
 {
-    spec_.validate();
-    pool_ = spec_.functionPool();
-    traffic_ = makeTrafficModel(spec_.traffic);
-    bindPricing();
-
-    cfg_.fleet = spec_.fleet;
-    cfg_.policy = spec_.policy;
-    cfg_.functionPool = pool_;
-    cfg_.seed = spec_.seed;
-    cfg_.epoch = spec_.epoch;
-    cfg_.keepAlive = spec_.keepAlive;
-    cfg_.threads = spec_.threads;
-    cfg_.drainCap = spec_.drainCap;
-    cfg_.sharingFactor = spec_.sharingFactor;
-    cfg_.probes = spec_.probes.value_or(!cfg_.discountModels.empty());
+    spec.validate();
+    traffic_ = makeTrafficModel(spec.traffic);
+    cfg_ = std::move(spec.cluster);
     cfg_.traffic = traffic_.get();
-    cfg_.faults = spec_.fault;
-    cfg_.validate();
+    bindPricing(spec);
+    cfg_.probes = spec.probes.value_or(!cfg_.discountModels.empty());
 }
 
 ScenarioRunner::~ScenarioRunner() = default;
 
 void
-ScenarioRunner::bindPricing()
+ScenarioRunner::bindPricing(const ScenarioSpec &spec)
 {
     const auto bind = [this](pricing::ProfileStore::ProfilePtr profile) {
         if (profile->machine.empty())
@@ -75,17 +62,17 @@ ScenarioRunner::bindPricing()
         profiles_.push_back(std::move(profile));
     };
 
-    for (const std::string &path : spec_.tables)
+    for (const std::string &path : spec.tables)
         bind(std::make_shared<const pricing::CalibrationProfile>(
             pricing::loadProfile(path)));
 
-    if (spec_.calibrate) {
-        for (const cluster::MachineGroup &group : spec_.fleet) {
+    if (spec.calibrate) {
+        for (const cluster::MachineGroup &group : cfg_.fleet) {
             const std::string type =
                 sim::MachineCatalog::get(group.machine).name;
             if (cfg_.discountModels.contains(type))
                 continue; // a loaded profile wins
-            if (spec_.calibrationLevels == 0) {
+            if (spec.calibrationLevels == 0) {
                 if (!pricing::ProfileStore::instance().find(
                         "dedicated/" + type))
                     inform("scenario: calibrating ", type,
@@ -95,7 +82,7 @@ ScenarioRunner::bindPricing()
             }
             // Capped sweeps are memoized under their own key so a
             // coarse smoke run never poisons the full-depth cache.
-            const unsigned cap = std::max(2u, spec_.calibrationLevels);
+            const unsigned cap = std::max(2u, spec.calibrationLevels);
             const std::string key =
                 "scenario/" + type + "/levels" + std::to_string(cap);
             if (!pricing::ProfileStore::instance().find(key))
@@ -112,13 +99,13 @@ ScenarioRunner::bindPricing()
         }
     }
 
-    if (!spec_.tablesOut.empty()) {
+    if (!spec.tablesOut.empty()) {
         if (profiles_.empty())
             fatal("scenario: tables_out needs profiles to write — "
                   "set calibrate=true or tables=");
         for (const auto &profile : profiles_) {
             const std::string out =
-                profileOutPath(spec_.tablesOut, profile->machine,
+                profileOutPath(spec.tablesOut, profile->machine,
                                profiles_.size() > 1);
             pricing::saveProfile(out, *profile);
             inform("scenario: profile for ", profile->machine,

@@ -12,10 +12,9 @@
  *         scenario::ScenarioSpec::fromFile(path));
  *     const cluster::FleetReport &report = runner.run();
  *
- * A poisson scenario reproduces the pre-scenario fleet bit-exactly at
- * the same seed (the poisson model replicates the cluster's old
- * inline generator draw-for-draw), so migrating an experiment onto
- * the runner never moves its numbers.
+ * The cluster configuration is the spec's own `cluster` member; the
+ * runner binds only what a ClusterConfig borrows or derives — the
+ * traffic model, the discount models and the probe switch.
  */
 
 #ifndef LITMUS_SCENARIO_SCENARIO_RUNNER_H
@@ -49,16 +48,15 @@ class ScenarioRunner
      *  return the fleet report. May be called once. */
     const cluster::FleetReport &run();
 
-    const ScenarioSpec &spec() const { return spec_; }
-
-    /** The fully-resolved fleet configuration the cluster runs. */
+    /** The fleet configuration the cluster runs: the spec's
+     *  `cluster` with traffic, discount models and probes bound. */
     const cluster::ClusterConfig &clusterConfig() const
     {
         return cfg_;
     }
 
     /** The instantiated traffic model. */
-    const TrafficModel &traffic() const { return *traffic_; }
+    const cluster::TrafficSource &traffic() const { return *traffic_; }
 
     /** The cluster (inspection; valid after run()). */
     const cluster::Cluster &cluster() const;
@@ -71,14 +69,16 @@ class ScenarioRunner
     }
 
   private:
-    void bindPricing();
+    /** Load, calibrate and persist @p spec's pricing profiles and
+     *  bind their discount models into cfg_. */
+    void bindPricing(const ScenarioSpec &spec);
 
-    ScenarioSpec spec_;
-    std::unique_ptr<TrafficModel> traffic_;
-    std::vector<const workload::FunctionSpec *> pool_;
+    /** The spec's `cluster` plus the bound traffic, discount models
+     *  and probe switch. */
+    cluster::ClusterConfig cfg_;
+    std::unique_ptr<cluster::TrafficSource> traffic_;
     std::vector<pricing::ProfileStore::ProfilePtr> profiles_;
     std::vector<std::unique_ptr<pricing::DiscountModel>> models_;
-    cluster::ClusterConfig cfg_;
     std::unique_ptr<cluster::Cluster> cluster_;
 };
 

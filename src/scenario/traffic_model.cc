@@ -3,11 +3,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/mutex.h"
 #include "scenario/azure_trace.h"
 #include "workload/suite.h"
 
@@ -51,8 +49,45 @@ expectedSpan(const TrafficSpec &spec)
     return spec.duration > 0 ? spec.duration : byCount;
 }
 
-/** The open-loop source: the cluster layer's one Poisson stream. */
-class PoissonTraffic final : public TrafficModel
+/**
+ * The open-loop Poisson process: per arrival an exponential gap at
+ * the mean rate, then a uniform pick from the pool. Stops after
+ * `invocations` arrivals (0 = no count limit) or at the first
+ * arrival at or past `duration` (0 = no time limit).
+ */
+class PoissonStream final : public cluster::ArrivalStream
+{
+  public:
+    PoissonStream(const TrafficSpec &spec, Rng &rng,
+                  const std::vector<const workload::FunctionSpec *> &pool)
+        : ArrivalStream("poisson"), spec_(spec), rng_(rng.fork()),
+          pool_(pool)
+    {
+    }
+
+  protected:
+    bool produce(cluster::Invocation &out) override
+    {
+        if (spec_.invocations > 0 && emitted_ >= spec_.invocations)
+            return false;
+        at_ += rng_.exponential(1.0 / spec_.arrivalsPerSecond);
+        if (spec_.duration > 0 && at_ >= spec_.duration)
+            return false;
+        out.arrival = at_;
+        out.spec = pool_[rng_.below(pool_.size())];
+        ++emitted_;
+        return true;
+    }
+
+  private:
+    TrafficSpec spec_;
+    Rng rng_;
+    std::vector<const workload::FunctionSpec *> pool_;
+    Seconds at_ = 0;
+    std::uint64_t emitted_ = 0;
+};
+
+class PoissonTraffic final : public cluster::TrafficSource
 {
   public:
     explicit PoissonTraffic(TrafficSpec spec) : spec_(std::move(spec)) {}
@@ -64,9 +99,7 @@ class PoissonTraffic final : public TrafficModel
          const std::vector<const workload::FunctionSpec *> &pool)
         const override
     {
-        return cluster::openPoissonStream(rng, spec_.arrivalsPerSecond,
-                                          spec_.invocations,
-                                          spec_.duration, pool);
+        return std::make_unique<PoissonStream>(spec_, rng, pool);
     }
 
     Seconds horizonHint() const override { return expectedSpan(spec_); }
@@ -127,21 +160,12 @@ class DiurnalStream final : public cluster::ArrivalStream
     std::uint64_t emitted_ = 0;
 };
 
-class DiurnalTraffic final : public TrafficModel
+class DiurnalTraffic final : public cluster::TrafficSource
 {
   public:
     explicit DiurnalTraffic(TrafficSpec spec) : spec_(std::move(spec)) {}
 
     std::string name() const override { return "diurnal"; }
-
-    double rateAt(Seconds t) const
-    {
-        return spec_.arrivalsPerSecond *
-               (1.0 + spec_.diurnalAmplitude *
-                          std::sin(2.0 * kPi *
-                                   (t / spec_.diurnalPeriod +
-                                    spec_.diurnalPhase)));
-    }
 
     std::unique_ptr<cluster::ArrivalStream>
     open(Rng &rng,
@@ -219,7 +243,7 @@ class BurstStream final : public cluster::ArrivalStream
     std::uint64_t emitted_ = 0;
 };
 
-class BurstTraffic final : public TrafficModel
+class BurstTraffic final : public cluster::TrafficSource
 {
   public:
     explicit BurstTraffic(TrafficSpec spec) : spec_(std::move(spec))
@@ -232,9 +256,6 @@ class BurstTraffic final : public TrafficModel
     }
 
     std::string name() const override { return "burst"; }
-
-    double onRate() const { return rateOn_; }
-    double offRate() const { return rateOff_; }
 
     std::unique_ptr<cluster::ArrivalStream>
     open(Rng &rng,
@@ -251,6 +272,120 @@ class BurstTraffic final : public TrafficModel
     TrafficSpec spec_;
     double rateOn_ = 0;
     double rateOff_ = 0;
+};
+
+/** One parsed trace-replay row; a null spec means "sample the pool
+ *  at replay". */
+struct TraceRow
+{
+    Seconds arrival = 0;
+    const workload::FunctionSpec *spec = nullptr;
+};
+
+/**
+ * Incremental `arrival_seconds,function` CSV reader: one validated
+ * row per next() call, O(1) memory regardless of file size. The
+ * trace model's build-time prescan and each opened stream run one.
+ * fatal()s naming `path:line` on malformed or non-finite timestamps,
+ * unknown function names and out-of-order rows; '#' comments and one
+ * leading non-numeric header row are tolerated.
+ */
+class TraceCsvReader
+{
+  public:
+    explicit TraceCsvReader(std::string path)
+        : path_(std::move(path)), file_(path_)
+    {
+        if (!file_)
+            fatal("cannot read arrival trace '", path_, "'");
+    }
+
+    /** Parse the next data row into @p row; false at end of file. */
+    bool next(TraceRow &row)
+    {
+        std::string line;
+        while (std::getline(file_, line)) {
+            ++lineNo_;
+            // Strip comments and surrounding whitespace.
+            const auto hash = line.find('#');
+            if (hash != std::string::npos)
+                line = line.substr(0, hash);
+            const auto first = line.find_first_not_of(" \t\r");
+            if (first == std::string::npos)
+                continue;
+            const auto last = line.find_last_not_of(" \t\r");
+            line = line.substr(first, last - first + 1);
+
+            std::string stamp = line;
+            std::string function;
+            const auto comma = line.find(',');
+            if (comma != std::string::npos) {
+                stamp = line.substr(0, comma);
+                const auto stampEnd = stamp.find_last_not_of(" \t");
+                stamp = stampEnd == std::string::npos
+                            ? ""
+                            : stamp.substr(0, stampEnd + 1);
+                function = line.substr(comma + 1);
+                const auto fnFirst = function.find_first_not_of(" \t");
+                function = fnFirst == std::string::npos
+                               ? ""
+                               : function.substr(
+                                     fnFirst,
+                                     function.find_last_not_of(" \t") -
+                                         fnFirst + 1);
+            }
+
+            char *end = nullptr;
+            // LITMUS-LINT-ALLOW(raw-parse): header detection needs strtod's partial-consumption position (consumed-nothing = header row), which parseDoubleStrict hides; the full-consumption + isfinite checks below are exactly the strict contract
+            const double at = std::strtod(stamp.c_str(), &end);
+            // strtod happily parses "nan"/"inf", and NaN slips past
+            // every ordering comparison below — reject non-finite
+            // timestamps as malformed.
+            if (!end || *end != '\0' || stamp.empty() ||
+                !std::isfinite(at)) {
+                // The header row is one where the timestamp field is
+                // not numeric at all; anything strtod makes partial
+                // sense of ("nan", "0.5s") is a malformed data row,
+                // even first.
+                if (headerAllowed_ && !stamp.empty() &&
+                    end == stamp.c_str()) {
+                    headerAllowed_ = false;
+                    continue;
+                }
+                fatal(path_, ":", lineNo_, ": bad arrival timestamp '",
+                      stamp, "'");
+            }
+            headerAllowed_ = false;
+            if (at < 0)
+                fatal(path_, ":", lineNo_, ": negative arrival time ",
+                      at);
+            if (at < prev_)
+                fatal(path_, ":", lineNo_,
+                      ": arrivals out of order (", at, " after ", prev_,
+                      ")");
+            prev_ = at;
+
+            row.arrival = at;
+            row.spec = nullptr;
+            if (!function.empty()) {
+                row.spec = workload::findFunction(function);
+                if (!row.spec)
+                    fatal(path_, ":", lineNo_, ": unknown function '",
+                          function, "'");
+            }
+            return true;
+        }
+        return false;
+    }
+
+  private:
+    std::string path_;
+    std::ifstream file_;
+    unsigned lineNo_ = 0;
+    Seconds prev_ = 0;
+    // One leading non-numeric row (after any comments) is tolerated
+    // as the column header.
+    bool headerAllowed_ = true;
 };
 
 /**
@@ -303,7 +438,7 @@ class TraceStream final : public cluster::ArrivalStream
  * prescan also records the capped span (the fault-plan horizon) and
  * warns when the row cap bites.
  */
-class TraceTraffic final : public TrafficModel
+class TraceTraffic final : public cluster::TrafficSource
 {
   public:
     explicit TraceTraffic(TrafficSpec spec) : spec_(std::move(spec))
@@ -338,9 +473,6 @@ class TraceTraffic final : public TrafficModel
 
     std::string name() const override { return "trace"; }
 
-    /** Rows the caps keep (the prescan's count). */
-    std::size_t rowCount() const { return kept_; }
-
     std::unique_ptr<cluster::ArrivalStream>
     open(Rng &rng,
          const std::vector<const workload::FunctionSpec *> &pool)
@@ -357,43 +489,6 @@ class TraceTraffic final : public TrafficModel
     std::size_t kept_ = 0;
     Seconds lastKept_ = 0;
 };
-
-struct Registry
-{
-    Mutex mutex;
-    std::map<std::string, TrafficModelFactory> factories
-        LITMUS_GUARDED_BY(mutex);
-
-    Registry()
-    {
-        // Construction is single-threaded (function-local static);
-        // the lock is uncontended and keeps the guarded writes
-        // visible to the thread-safety analysis without suppressions.
-        MutexLock lock(&mutex);
-        factories["poisson"] = [](const TrafficSpec &spec) {
-            return std::make_unique<PoissonTraffic>(spec);
-        };
-        factories["diurnal"] = [](const TrafficSpec &spec) {
-            return std::make_unique<DiurnalTraffic>(spec);
-        };
-        factories["burst"] = [](const TrafficSpec &spec) {
-            return std::make_unique<BurstTraffic>(spec);
-        };
-        factories["trace"] = [](const TrafficSpec &spec) {
-            return std::make_unique<TraceTraffic>(spec);
-        };
-        factories["azure"] = [](const TrafficSpec &spec) {
-            return makeAzureTraceModel(spec);
-        };
-    }
-};
-
-Registry &
-registry()
-{
-    static Registry reg;
-    return reg;
-}
 
 } // namespace
 
@@ -446,156 +541,22 @@ TrafficSpec::validate() const
               "finite");
 }
 
-void
-registerTrafficModel(const std::string &name, TrafficModelFactory factory)
-{
-    if (!factory)
-        fatal("registerTrafficModel: null factory for '", name, "'");
-    Registry &reg = registry();
-    MutexLock lock(&reg.mutex);
-    if (!reg.factories.emplace(name, std::move(factory)).second)
-        fatal("registerTrafficModel: '", name, "' already registered");
-}
-
-std::unique_ptr<TrafficModel>
+std::unique_ptr<cluster::TrafficSource>
 makeTrafficModel(const TrafficSpec &spec)
 {
     spec.validate();
-    Registry &reg = registry();
-    TrafficModelFactory factory;
-    {
-        MutexLock lock(&reg.mutex);
-        const auto it = reg.factories.find(spec.model);
-        if (it != reg.factories.end())
-            factory = it->second;
-    }
-    if (!factory) {
-        std::string known;
-        for (const std::string &name : trafficModelNames())
-            known += (known.empty() ? "" : ", ") + name;
-        fatal("unknown traffic model '", spec.model, "' (known: ",
-              known, ")");
-    }
-    return factory(spec);
-}
-
-std::vector<std::string>
-trafficModelNames()
-{
-    Registry &reg = registry();
-    MutexLock lock(&reg.mutex);
-    std::vector<std::string> names;
-    names.reserve(reg.factories.size());
-    for (const auto &[name, factory] : reg.factories)
-        names.push_back(name);
-    return names;
-}
-
-struct TraceCsvReader::Impl
-{
-    std::string path;
-    std::ifstream file;
-    unsigned lineNo = 0;
-    Seconds prev = 0;
-    // One leading non-numeric row (after any comments) is tolerated
-    // as the column header.
-    bool headerAllowed = true;
-};
-
-TraceCsvReader::TraceCsvReader(std::string path)
-    : impl_(std::make_unique<Impl>())
-{
-    impl_->path = std::move(path);
-    impl_->file.open(impl_->path);
-    if (!impl_->file)
-        fatal("cannot read arrival trace '", impl_->path, "'");
-}
-
-TraceCsvReader::~TraceCsvReader() = default;
-
-bool
-TraceCsvReader::next(TraceRow &row)
-{
-    Impl &st = *impl_;
-    std::string line;
-    while (std::getline(st.file, line)) {
-        ++st.lineNo;
-        // Strip comments and surrounding whitespace.
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        const auto first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos)
-            continue;
-        const auto last = line.find_last_not_of(" \t\r");
-        line = line.substr(first, last - first + 1);
-
-        std::string stamp = line;
-        std::string function;
-        const auto comma = line.find(',');
-        if (comma != std::string::npos) {
-            stamp = line.substr(0, comma);
-            const auto stampEnd = stamp.find_last_not_of(" \t");
-            stamp = stampEnd == std::string::npos
-                        ? ""
-                        : stamp.substr(0, stampEnd + 1);
-            function = line.substr(comma + 1);
-            const auto fnFirst = function.find_first_not_of(" \t");
-            function = fnFirst == std::string::npos
-                           ? ""
-                           : function.substr(
-                                 fnFirst, function.find_last_not_of(
-                                              " \t") - fnFirst + 1);
-        }
-
-        char *end = nullptr;
-        // LITMUS-LINT-ALLOW(raw-parse): header detection needs strtod's partial-consumption position (consumed-nothing = header row), which parseDoubleStrict hides; the full-consumption + isfinite checks below are exactly the strict contract
-        const double at = std::strtod(stamp.c_str(), &end);
-        // strtod happily parses "nan"/"inf", and NaN slips past
-        // every ordering comparison below — reject non-finite
-        // timestamps as malformed.
-        if (!end || *end != '\0' || stamp.empty() ||
-            !std::isfinite(at)) {
-            // The header row is one where the timestamp field is not
-            // numeric at all; anything strtod makes partial sense of
-            // ("nan", "0.5s") is a malformed data row, even first.
-            if (st.headerAllowed && !stamp.empty() &&
-                end == stamp.c_str()) {
-                st.headerAllowed = false;
-                continue;
-            }
-            fatal("trace '", st.path, "' line ", st.lineNo,
-                  ": bad arrival timestamp '", stamp, "'");
-        }
-        st.headerAllowed = false;
-        if (at < 0)
-            fatal("trace '", st.path, "' line ", st.lineNo,
-                  ": negative arrival time ", at);
-        if (at < st.prev)
-            fatal("trace '", st.path, "' line ", st.lineNo,
-                  ": arrivals out of order (", at, " after ", st.prev,
-                  ")");
-        st.prev = at;
-
-        row.arrival = at;
-        // An unknown function name fatal()s with the suite listing.
-        row.spec = function.empty()
-                       ? nullptr
-                       : &workload::functionByName(function);
-        return true;
-    }
-    return false;
-}
-
-std::vector<TraceRow>
-loadArrivalTrace(const std::string &path)
-{
-    TraceCsvReader reader(path);
-    std::vector<TraceRow> rows;
-    TraceRow row;
-    while (reader.next(row))
-        rows.push_back(row);
-    return rows;
+    if (spec.model == "azure")
+        return makeAzureTraceModel(spec);
+    if (spec.model == "burst")
+        return std::make_unique<BurstTraffic>(spec);
+    if (spec.model == "diurnal")
+        return std::make_unique<DiurnalTraffic>(spec);
+    if (spec.model == "poisson")
+        return std::make_unique<PoissonTraffic>(spec);
+    if (spec.model == "trace")
+        return std::make_unique<TraceTraffic>(spec);
+    fatal("unknown traffic model '", spec.model,
+          "' (known: azure, burst, diurnal, poisson, trace)");
 }
 
 } // namespace litmus::scenario

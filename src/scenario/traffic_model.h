@@ -1,14 +1,12 @@
 /**
  * @file
- * Pluggable fleet traffic models: the arrival process as a plugin.
+ * Fleet traffic models: the five built-in arrival processes.
  *
  * The Litmus fairness claims are only as convincing as the workloads
  * billed under, so the scenario layer turns "how do invocations
  * arrive" into an interface with five built-ins:
  *
- *  - poisson  the classic open-loop memoryless stream (the cluster
- *             layer's openPoissonStream, which is also the fleet's
- *             default source);
+ *  - poisson  the classic open-loop memoryless stream;
  *  - diurnal  a sinusoid-modulated rate (day/night load swing),
  *             sampled by Lewis-Shedler thinning against the peak
  *             rate;
@@ -24,25 +22,23 @@
  *             scenario/azure_trace.h), sampled into deterministic
  *             timestamps one minute at a time.
  *
- * Custom processes register through registerTrafficModel() and become
- * addressable from scenario files by name. Every built-in is a native
- * stream: open() yields arrivals one at a time from a single fork()
- * of the run's arrival Rng, so memory stays O(model lookahead) for
- * day-long million-function workloads, and a fixed seed gives the
- * same arrivals at any thread count — the fleet determinism guarantee
+ * makeTrafficModel() builds one of the five from a TrafficSpec; a
+ * custom process is any cluster::TrafficSource handed straight to
+ * ClusterConfig::traffic. Every built-in is a native stream: open()
+ * yields arrivals one at a time from a single fork() of the run's
+ * arrival Rng, so memory stays O(model lookahead) for day-long
+ * million-function workloads, and a fixed seed gives the same
+ * arrivals at any thread count — the fleet determinism guarantee
  * does not depend on which model produced the traffic.
  */
 
 #ifndef LITMUS_SCENARIO_TRAFFIC_MODEL_H
 #define LITMUS_SCENARIO_TRAFFIC_MODEL_H
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cluster/traffic_source.h"
-#include "common/rng.h"
 
 namespace litmus::scenario
 {
@@ -54,7 +50,7 @@ namespace litmus::scenario
  */
 struct TrafficSpec
 {
-    /** Model name resolved through the registry. */
+    /** Model name: poisson | diurnal | burst | trace | azure. */
     std::string model = "poisson";
 
     /** Long-run mean arrival rate (invocations per second). Ignored
@@ -117,75 +113,10 @@ struct TrafficSpec
     void validate() const;
 };
 
-/**
- * One arrival process, by its registry name ("poisson", "diurnal",
- * ...). The contract — open() streams nondecreasing non-null
- * arrivals, identical for equal-seeded generators — is
- * cluster::TrafficSource's; the scenario layer adds only the
- * registry. The interface lives in the cluster layer so the cluster
- * can consume models without an upward include.
- */
-class TrafficModel : public cluster::TrafficSource
-{
-};
-
-/** Factory signature for registered models. */
-using TrafficModelFactory =
-    std::function<std::unique_ptr<TrafficModel>(const TrafficSpec &)>;
-
-/**
- * Register a custom model under @p name (fatal() on a duplicate).
- * Thread-safe; the built-ins are pre-registered.
- */
-void registerTrafficModel(const std::string &name,
-                          TrafficModelFactory factory);
-
-/** Build the model @p spec names; fatal() with the known names when
- *  the registry has no entry. */
-std::unique_ptr<TrafficModel> makeTrafficModel(const TrafficSpec &spec);
-
-/** Registered model names, sorted (help text, error listings). */
-std::vector<std::string> trafficModelNames();
-
-/**
- * One parsed trace-replay row. A null spec means "sample the pool at
- * replay".
- */
-struct TraceRow
-{
-    Seconds arrival = 0;
-    const workload::FunctionSpec *spec = nullptr;
-};
-
-/**
- * Incremental `arrival_seconds,function` CSV reader: one validated
- * row per next() call, O(1) memory regardless of file size — the
- * `trace` model's backing reader (its build-time validation prescan
- * and each opened stream run one of these), also exposed for tests
- * and tools. fatal()s with file:line on unreadable files, malformed
- * or non-finite timestamps, unknown function names, and out-of-order
- * rows; '#' comments and one leading non-numeric header row are
- * tolerated.
- */
-class TraceCsvReader
-{
-  public:
-    explicit TraceCsvReader(std::string path);
-    TraceCsvReader(const TraceCsvReader &) = delete;
-    TraceCsvReader &operator=(const TraceCsvReader &) = delete;
-    ~TraceCsvReader();
-
-    /** Parse the next data row into @p row; false at end of file. */
-    bool next(TraceRow &row);
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
-
-/** Drain a TraceCsvReader: every row of @p path, materialized
- *  (small-file convenience for tests and tools). */
-std::vector<TraceRow> loadArrivalTrace(const std::string &path);
+/** Build the built-in model @p spec names (after validating
+ *  @p spec); fatal() listing the five names when there is none. */
+std::unique_ptr<cluster::TrafficSource>
+makeTrafficModel(const TrafficSpec &spec);
 
 } // namespace litmus::scenario
 

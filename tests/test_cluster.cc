@@ -5,12 +5,11 @@
  * of the threaded epoch runner.
  */
 
-#include <limits>
-
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
 #include "core/calibration.h"
+#include "poisson_traffic.h"
 #include "workload/suite.h"
 #include "sim/machine_catalog.h"
 
@@ -82,8 +81,7 @@ smallFleet(unsigned machines, DispatchPolicy policy,
     ClusterConfig cfg;
     cfg.fleet = {{testMachine(), machines}};
     cfg.policy = policy;
-    cfg.arrivalsPerSecond = 4000;
-    cfg.invocations = invocations;
+    cfg.traffic = tests::poissonTraffic(4000, invocations);
     cfg.functionPool = tinyPool();
     cfg.seed = 11;
     cfg.threads = 1;
@@ -122,24 +120,12 @@ TEST(ClusterConfig, ValidateCatchesNonsense)
     cfg.functionPool.clear();
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
                 "functionPool is empty");
+    // The cluster generates no arrivals of its own: a config without
+    // a traffic source validates, but cannot build a fleet.
     cfg = ClusterConfig{};
-    cfg.arrivalsPerSecond = 0;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "rate");
-    // NaN fails every comparison, so `<= 0` alone cannot reject it;
-    // an unrejected NaN rate surfaces only as a failure to drain.
-    cfg = ClusterConfig{};
-    cfg.fleet = {{"cascade-5218", 2}};
-    cfg.invocations = 50;
-    cfg.arrivalsPerSecond = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "arrival rate must be positive and finite");
-    cfg.arrivalsPerSecond = std::numeric_limits<double>::infinity();
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "arrival rate must be positive and finite");
-    cfg = ClusterConfig{};
-    cfg.invocations = 0;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "invocation");
+    cfg.validate();
+    EXPECT_EXIT({ Cluster fleet(cfg); }, ::testing::ExitedWithCode(1),
+                "traffic is required");
     cfg = ClusterConfig{};
     cfg.epoch = 0;
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "epoch");

@@ -21,6 +21,7 @@
 #include "cluster/cluster.h"
 #include "common/rng.h"
 #include "core/poppa.h"
+#include "poisson_traffic.h"
 #include "sim/engine.h"
 #include "workload/program.h"
 #include "sim/machine_catalog.h"
@@ -319,8 +320,7 @@ TEST_P(ClusterDifferential, TotalsIdenticalAcrossModes)
         cluster::ClusterConfig cfg;
         cfg.fleet = {{"cascade-5218", 2}};
         cfg.policy = cluster::DispatchPolicy::WarmthAware;
-        cfg.arrivalsPerSecond = 400.0;
-        cfg.invocations = 300;
+        cfg.traffic = tests::poissonTraffic(400.0, 300);
         cfg.keepAlive = 0.05; // short: exercises expiry sweeps
         cfg.seed = 11;
         cfg.threads = 1;

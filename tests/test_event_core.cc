@@ -51,7 +51,7 @@ RunOutcome
 runWith(scenario::ScenarioSpec spec, unsigned threads = 1,
         bool exact = false)
 {
-    spec.threads = threads;
+    spec.cluster.threads = threads;
     scenario::ScenarioRunner runner(std::move(spec));
     // The fleet's engines are built inside run().
     const bool previous = sim::Engine::defaultFastForward();
@@ -297,8 +297,9 @@ TEST(EventCoreCounters, EventCoreSkipsIdleWork)
 
     EXPECT_GT(sched.idleQuantaSkipped, 0u);
     EXPECT_GT(sched.barriersElided, 0u);
-    const double epochQuanta = std::round(
-        spec.epoch / sim::MachineCatalog::get("cascade-5218").quantum);
+    const double epochQuanta =
+        std::round(spec.cluster.epoch /
+                   sim::MachineCatalog::get("cascade-5218").quantum);
     for (const cluster::MachineReport &m : report.machines)
         EXPECT_EQ(static_cast<double>(sched.barriers +
                                       sched.barriersElided) *

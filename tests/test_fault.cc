@@ -18,6 +18,7 @@
 
 #include "cluster/cluster.h"
 #include "common/config_reader.h"
+#include "poisson_traffic.h"
 #include "scenario/scenario.h"
 #include "sim/machine_catalog.h"
 #include "workload/suite.h"
@@ -88,8 +89,7 @@ smallFleet(unsigned machines, std::uint64_t invocations = 400)
     ClusterConfig cfg;
     cfg.fleet = {{testMachine(), machines}};
     cfg.policy = DispatchPolicy::LeastLoaded;
-    cfg.arrivalsPerSecond = 4000;
-    cfg.invocations = invocations;
+    cfg.traffic = tests::poissonTraffic(4000, invocations);
     cfg.functionPool = tinyPool();
     cfg.seed = 11;
     cfg.threads = 1;
@@ -547,23 +547,24 @@ TEST(FaultScenario, FaultKeysRoundTrip)
             "fault.retry.max = 4\n"
             "fault.retry.backoff = 0.25\n"
             "fault.billing = tenant-pays\n");
-    EXPECT_EQ(spec.fault.seed, 99u);
-    EXPECT_DOUBLE_EQ(spec.fault.crashMtbf, 6.0);
-    EXPECT_DOUBLE_EQ(spec.fault.restartDelay, 2.0);
-    ASSERT_EQ(spec.fault.crashAt.size(), 2u);
-    EXPECT_DOUBLE_EQ(spec.fault.crashAt[0].at, 0.5);
-    EXPECT_EQ(spec.fault.crashAt[0].machine, 1u);
-    EXPECT_DOUBLE_EQ(spec.fault.slowMtbf, 4.0);
-    EXPECT_DOUBLE_EQ(spec.fault.slowDuration, 1.5);
-    EXPECT_DOUBLE_EQ(spec.fault.slowFactor, 0.6);
-    EXPECT_DOUBLE_EQ(spec.fault.blindMtbf, 5.0);
-    EXPECT_DOUBLE_EQ(spec.fault.blindDuration, 1.0);
-    EXPECT_EQ(spec.fault.retry, RetryPolicy::RetryBackoff);
-    EXPECT_EQ(spec.fault.retryMax, 4u);
-    EXPECT_DOUBLE_EQ(spec.fault.retryBackoff, 0.25);
-    EXPECT_EQ(spec.fault.billing, FaultBilling::TenantPays);
-    EXPECT_TRUE(spec.fault.enabled());
-    spec.fault.validate();
+    const FaultSpec &fault = spec.cluster.faults;
+    EXPECT_EQ(fault.seed, 99u);
+    EXPECT_DOUBLE_EQ(fault.crashMtbf, 6.0);
+    EXPECT_DOUBLE_EQ(fault.restartDelay, 2.0);
+    ASSERT_EQ(fault.crashAt.size(), 2u);
+    EXPECT_DOUBLE_EQ(fault.crashAt[0].at, 0.5);
+    EXPECT_EQ(fault.crashAt[0].machine, 1u);
+    EXPECT_DOUBLE_EQ(fault.slowMtbf, 4.0);
+    EXPECT_DOUBLE_EQ(fault.slowDuration, 1.5);
+    EXPECT_DOUBLE_EQ(fault.slowFactor, 0.6);
+    EXPECT_DOUBLE_EQ(fault.blindMtbf, 5.0);
+    EXPECT_DOUBLE_EQ(fault.blindDuration, 1.0);
+    EXPECT_EQ(fault.retry, RetryPolicy::RetryBackoff);
+    EXPECT_EQ(fault.retryMax, 4u);
+    EXPECT_DOUBLE_EQ(fault.retryBackoff, 0.25);
+    EXPECT_EQ(fault.billing, FaultBilling::TenantPays);
+    EXPECT_TRUE(fault.enabled());
+    fault.validate();
 }
 
 TEST(FaultScenario, EveryKnownKeyIsSettable)

@@ -70,7 +70,7 @@ class Digest
 std::uint64_t
 runDigest(scenario::ScenarioSpec spec, unsigned threads)
 {
-    spec.threads = threads;
+    spec.cluster.threads = threads;
     scenario::ScenarioRunner runner(std::move(spec));
     const cluster::FleetReport &r = runner.run();
 

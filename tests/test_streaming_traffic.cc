@@ -74,7 +74,7 @@ struct RunOutcome
 RunOutcome
 runWith(scenario::ScenarioSpec spec, unsigned threads)
 {
-    spec.threads = threads;
+    spec.cluster.threads = threads;
     scenario::ScenarioRunner runner(std::move(spec));
     RunOutcome out;
     out.report = runner.run();
@@ -541,14 +541,26 @@ TEST(StreamingAzureDeath, MalformedTraces)
         "aaaa,bbbb,cccc,http,1,2\n"
         "dddd,eeee,ffff,http,1\n");
     EXPECT_EXIT((void)scenario::makeTrafficModel(spec),
-                ::testing::ExitedWithCode(1), "count columns");
+                ::testing::ExitedWithCode(1),
+                "azure_ragged\\.csv:3: row has 1 count columns, "
+                "expected 2");
 
     spec.azurePath = writeTempFile(
         "azure_bad_count.csv",
         "HashOwner,HashApp,HashFunction,Trigger,1,2\n"
         "aaaa,bbbb,cccc,http,1,-3\n");
     EXPECT_EXIT((void)scenario::makeTrafficModel(spec),
-                ::testing::ExitedWithCode(1), "bad invocation count");
+                ::testing::ExitedWithCode(1),
+                "azure_bad_count\\.csv:2: bad invocation count '-3'");
+
+    spec.azurePath = writeTempFile(
+        "azure_short.csv",
+        "# a comment\n"
+        "HashOwner,HashApp,HashFunction,Trigger,1\n"
+        "aaaa,bbbb,cccc\n");
+    EXPECT_EXIT((void)scenario::makeTrafficModel(spec),
+                ::testing::ExitedWithCode(1),
+                "azure_short\\.csv:3: expected at least 5 columns");
 
     scenario::TrafficSpec missing;
     missing.model = "azure";

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the scenario layer: pluggable traffic models (empirical
- * rate, seed determinism, trace replay exactness, malformed input),
- * declarative scenario specs, and the ScenarioRunner's bit-exact
- * equivalence with the cluster's default Poisson source.
+ * Tests for the scenario layer: the built-in traffic models
+ * (empirical rate, seed determinism, trace replay exactness, malformed
+ * input), custom sources through ClusterConfig::traffic, declarative
+ * scenario specs and their defaults, and the ScenarioRunner.
  */
 
 #include <cmath>
@@ -61,7 +61,7 @@ writeTempFile(const std::string &name, const std::string &text)
     return path;
 }
 
-// ---- empirical rate per model ----------------------------------------
+// ---- empirical rate per model ---------------------------------------
 
 TEST(TrafficModels, PoissonHitsConfiguredRate)
 {
@@ -135,7 +135,7 @@ TEST(TrafficModels, DurationStopsTheStream)
     EXPECT_LT(trace.back().arrival, 2.0);
 }
 
-// ---- determinism ------------------------------------------------------
+// ---- determinism ----------------------------------------------------
 
 TEST(TrafficModels, SameSeedSameTraceEveryModel)
 {
@@ -177,7 +177,7 @@ TEST(TrafficModels, ArrivalsAreNondecreasing)
     }
 }
 
-// ---- trace replay -----------------------------------------------------
+// ---- trace replay ---------------------------------------------------
 
 TEST(TraceReplay, ExactTimestampsAndNames)
 {
@@ -227,25 +227,31 @@ TEST(TraceReplayDeath, MalformedTraces)
     EXPECT_EXIT((void)makeTrafficModel(spec),
                 ::testing::ExitedWithCode(1), "cannot read");
 
+    // Every row error names the file and the 1-based line.
     spec.tracePath =
         writeTempFile("bad_stamp.csv", "0.1,float-py\noops,aes-go\n");
     EXPECT_EXIT((void)makeTrafficModel(spec),
-                ::testing::ExitedWithCode(1), "bad arrival timestamp");
+                ::testing::ExitedWithCode(1),
+                "bad_stamp\\.csv:2: bad arrival timestamp 'oops'");
 
     spec.tracePath = writeTempFile(
         "out_of_order.csv", "0.2,float-py\n0.1,float-py\n");
     EXPECT_EXIT((void)makeTrafficModel(spec),
-                ::testing::ExitedWithCode(1), "out of order");
+                ::testing::ExitedWithCode(1),
+                "out_of_order\\.csv:2: arrivals out of order");
 
     spec.tracePath =
         writeTempFile("neg.csv", "-0.5,float-py\n0.1,float-py\n");
     EXPECT_EXIT((void)makeTrafficModel(spec),
-                ::testing::ExitedWithCode(1), "negative arrival");
+                ::testing::ExitedWithCode(1),
+                "neg\\.csv:1: negative arrival");
 
-    spec.tracePath =
-        writeTempFile("unknown_fn.csv", "0.1,frobnicate-py\n");
+    spec.tracePath = writeTempFile(
+        "unknown_fn.csv",
+        "# a comment\n0.1,float-py\n0.2,frobnicate-py\n");
     EXPECT_EXIT((void)makeTrafficModel(spec),
-                ::testing::ExitedWithCode(1), "frobnicate-py");
+                ::testing::ExitedWithCode(1),
+                "unknown_fn\\.csv:3: unknown function 'frobnicate-py'");
 
     spec.tracePath = writeTempFile("empty.csv", "# nothing here\n");
     EXPECT_EXIT((void)makeTrafficModel(spec),
@@ -258,15 +264,18 @@ TEST(TraceReplayDeath, MalformedTraces)
     spec.tracePath = writeTempFile(
         "nan.csv", "nan,float-py\n0.1,float-py\n");
     EXPECT_EXIT((void)makeTrafficModel(spec),
-                ::testing::ExitedWithCode(1), "bad arrival timestamp");
+                ::testing::ExitedWithCode(1),
+                "nan\\.csv:1: bad arrival timestamp");
     spec.tracePath =
         writeTempFile("inf.csv", "0.1,float-py\ninf,float-py\n");
     EXPECT_EXIT((void)makeTrafficModel(spec),
-                ::testing::ExitedWithCode(1), "bad arrival timestamp");
+                ::testing::ExitedWithCode(1),
+                "inf\\.csv:2: bad arrival timestamp");
     spec.tracePath = writeTempFile(
         "units.csv", "0.5s,float-py\n1.0s,float-py\n");
     EXPECT_EXIT((void)makeTrafficModel(spec),
-                ::testing::ExitedWithCode(1), "bad arrival timestamp");
+                ::testing::ExitedWithCode(1),
+                "units\\.csv:1: bad arrival timestamp");
 }
 
 TEST(TraceReplay, PaddedColumnsParse)
@@ -284,21 +293,38 @@ TEST(TraceReplay, PaddedColumnsParse)
     EXPECT_EQ(trace[1].spec->name, "aes-go");
 }
 
-// ---- registry ---------------------------------------------------------
+// ---- built-ins and custom sources -----------------------------------
 
 TEST(TrafficRegistry, BuiltinsPresentAndUnknownFatal)
 {
-    const auto names = trafficModelNames();
-    for (const char *expected :
-         {"burst", "diurnal", "poisson", "trace"}) {
-        EXPECT_NE(std::find(names.begin(), names.end(), expected),
-                  names.end());
+    for (const std::string model : {"burst", "diurnal", "poisson"}) {
+        TrafficSpec spec;
+        spec.model = model;
+        EXPECT_EQ(makeTrafficModel(spec)->name(), model);
     }
+    // The unknown-model error lists all five built-ins.
     TrafficSpec spec;
     spec.model = "fractal";
     EXPECT_EXIT((void)makeTrafficModel(spec),
                 ::testing::ExitedWithCode(1),
-                "unknown traffic model 'fractal'");
+                "unknown traffic model 'fractal' \\(known: azure, burst, "
+                "diurnal, poisson, trace\\)");
+}
+
+/** An 8-core cut of the Cascade Lake preset, registered once so
+ *  fleet specs can name it. */
+const std::string &
+testMachine()
+{
+    static const std::string name = [] {
+        sim::MachineConfig cfg =
+            sim::MachineCatalog::get("cascade-5218");
+        cfg.name = "scenario-test-cascade-8";
+        cfg.cores = 8;
+        sim::MachineCatalog::registerPreset(cfg);
+        return cfg.name;
+    }();
+    return name;
 }
 
 TEST(TrafficRegistry, CustomModelsPlugIn)
@@ -326,7 +352,7 @@ TEST(TrafficRegistry, CustomModelsPlugIn)
         std::vector<const FunctionSpec *> pool_;
         std::uint64_t emitted_ = 0;
     };
-    class EveryMillisecond final : public TrafficModel
+    class EveryMillisecond final : public cluster::TrafficSource
     {
       public:
         std::string name() const override { return "metronome"; }
@@ -338,23 +364,27 @@ TEST(TrafficRegistry, CustomModelsPlugIn)
             return std::make_unique<Ticks>(rng, pool);
         }
     };
-    registerTrafficModel("metronome", [](const TrafficSpec &) {
-        return std::make_unique<EveryMillisecond>();
-    });
-    TrafficSpec spec;
-    spec.model = "metronome";
-    const auto trace = pullAll(spec);
-    ASSERT_EQ(trace.size(), 100u);
-    EXPECT_EQ(trace.front().arrival, 1e-3);
-    EXPECT_EXIT(registerTrafficModel("metronome",
-                                     [](const TrafficSpec &) {
-                                         return std::unique_ptr<
-                                             TrafficModel>();
-                                     }),
-                ::testing::ExitedWithCode(1), "already registered");
+    // A custom process needs no registration: any TrafficSource
+    // plugs straight into ClusterConfig::traffic.
+    const EveryMillisecond metronome;
+    cluster::ClusterConfig cfg;
+    cfg.fleet = {{testMachine(), 2}};
+    cfg.functionPool = onePool();
+    cfg.threads = 1;
+    cfg.traffic = &metronome;
+    cluster::Cluster fleet(cfg);
+    const cluster::FleetReport &report = fleet.run();
+    EXPECT_EQ(report.arrivals, 100u);
+    EXPECT_EQ(report.completions, 100u);
+    EXPECT_EQ(report.arrivalFlow.model, "metronome");
+
+    Rng rng(1);
+    const auto stream = metronome.open(rng, onePool());
+    ASSERT_NE(stream->peek(), nullptr);
+    EXPECT_EQ(stream->peek()->arrival, 1e-3);
 }
 
-// ---- traffic spec validation ------------------------------------------
+// ---- traffic spec validation ----------------------------------------
 
 TEST(TrafficSpecDeath, RejectsNonsense)
 {
@@ -394,7 +424,7 @@ TEST(TrafficSpecDeath, RejectsNonsense)
                 "trace.path");
 }
 
-// ---- scenario specs ---------------------------------------------------
+// ---- scenario specs -------------------------------------------------
 
 TEST(ScenarioSpec, ParsesEveryKey)
 {
@@ -417,22 +447,53 @@ TEST(ScenarioSpec, ParsesEveryKey)
         "drain_cap = 120\n"
         "sharing_factor = 1.5\n"
         "probes = true\n");
-    ASSERT_EQ(spec.fleet.size(), 2u);
-    EXPECT_EQ(spec.fleet[0].machine, "cascade-5218");
-    EXPECT_EQ(spec.fleet[1].count, 3u);
-    EXPECT_EQ(spec.policy, cluster::DispatchPolicy::CostAware);
+    ASSERT_EQ(spec.cluster.fleet.size(), 2u);
+    EXPECT_EQ(spec.cluster.fleet[0].machine, "cascade-5218");
+    EXPECT_EQ(spec.cluster.fleet[1].count, 3u);
+    EXPECT_EQ(spec.cluster.policy, cluster::DispatchPolicy::CostAware);
     EXPECT_EQ(spec.traffic.model, "burst");
     EXPECT_DOUBLE_EQ(spec.traffic.arrivalsPerSecond, 1234.5);
     EXPECT_EQ(spec.traffic.invocations, 777u);
     EXPECT_DOUBLE_EQ(spec.traffic.duration, 9.0);
     EXPECT_DOUBLE_EQ(spec.traffic.burstOn, 0.25);
     EXPECT_DOUBLE_EQ(spec.traffic.burstIdleFraction, 0.1);
-    EXPECT_EQ(spec.functionPool().size(), 2u);
-    EXPECT_EQ(spec.seed, 99u);
-    EXPECT_DOUBLE_EQ(spec.epoch, 500e-6);
-    EXPECT_EQ(spec.threads, 3u);
+    ASSERT_EQ(spec.cluster.functionPool.size(), 2u);
+    EXPECT_EQ(spec.cluster.functionPool[1]->name, "aes-go");
+    EXPECT_EQ(spec.cluster.seed, 99u);
+    EXPECT_DOUBLE_EQ(spec.cluster.epoch, 500e-6);
+    EXPECT_DOUBLE_EQ(spec.cluster.keepAlive, 5.0);
+    EXPECT_EQ(spec.cluster.threads, 3u);
+    EXPECT_DOUBLE_EQ(spec.cluster.drainCap, 120.0);
+    EXPECT_DOUBLE_EQ(spec.cluster.sharingFactor, 1.5);
     ASSERT_TRUE(spec.probes.has_value());
     EXPECT_TRUE(*spec.probes);
+    spec.validate();
+}
+
+TEST(ScenarioSpec, EmptySpecDefaults)
+{
+    // The run an empty file or a flagless litmus_fleet describes.
+    const ScenarioSpec spec = ScenarioSpec::fromString("");
+    const cluster::ClusterConfig &cfg = spec.cluster;
+    ASSERT_EQ(cfg.fleet.size(), 1u);
+    EXPECT_EQ(cfg.fleet[0].machine, "cascade-5218");
+    EXPECT_EQ(cfg.fleet[0].count, 4u);
+    EXPECT_EQ(cfg.policy, cluster::DispatchPolicy::WarmthAware);
+    EXPECT_EQ(cfg.seed, 1u);
+    EXPECT_EQ(cfg.epoch, 1e-3);
+    EXPECT_EQ(cfg.keepAlive, 10.0);
+    EXPECT_EQ(cfg.threads, 0u);
+    EXPECT_EQ(cfg.drainCap, 600.0);
+    EXPECT_EQ(cfg.sharingFactor, 1.0);
+    EXPECT_EQ(cfg.functionPool, workload::allFunctions());
+    EXPECT_FALSE(cfg.faults.enabled());
+    EXPECT_EQ(cfg.traffic, nullptr);
+    EXPECT_TRUE(cfg.discountModels.empty());
+    EXPECT_EQ(spec.traffic.model, "poisson");
+    EXPECT_EQ(spec.traffic.arrivalsPerSecond, 2000.0);
+    EXPECT_EQ(spec.traffic.invocations, 10000u);
+    EXPECT_FALSE(spec.calibrate);
+    EXPECT_FALSE(spec.probes.has_value());
     spec.validate();
 }
 
@@ -461,31 +522,45 @@ TEST(ScenarioSpec, BuilderChainsAndNamedSetsResolve)
     spec.set("traffic", "diurnal").set("rate", "3000");
     EXPECT_EQ(spec.traffic.model, "diurnal");
     EXPECT_DOUBLE_EQ(spec.traffic.arrivalsPerSecond, 3000.0);
-    EXPECT_EQ(ScenarioSpec().set("functions", "test").functionPool(),
+    EXPECT_EQ(ScenarioSpec().set("functions", "test").cluster.functionPool,
               workload::testSet());
-    EXPECT_EQ(ScenarioSpec().functionPool(), workload::allFunctions());
+    EXPECT_EQ(ScenarioSpec().set("functions", "memory").cluster.functionPool,
+              workload::memoryIntensiveSet());
 }
 
 TEST(ScenarioSpecDeath, MalformedScenarios)
 {
+    // In-memory text is named <config>; every error carries its line.
     EXPECT_EXIT((void)ScenarioSpec::fromString("warp_speed = 9\n"),
                 ::testing::ExitedWithCode(1),
-                "unknown scenario key 'warp_speed'");
-    EXPECT_EXIT((void)ScenarioSpec::fromString("rate = fast\n"),
+                "<config>:1: unknown scenario key 'warp_speed'");
+    EXPECT_EXIT((void)ScenarioSpec::fromString("seed = 2\nrate = fast\n"),
                 ::testing::ExitedWithCode(1),
-                "expects a finite number");
+                "<config>:2: scenario key 'rate' expects a finite number");
     EXPECT_EXIT((void)ScenarioSpec::fromString("duration = inf\n"),
                 ::testing::ExitedWithCode(1),
-                "expects a finite number");
+                "<config>:1: scenario key 'duration' expects a finite "
+                "number");
     EXPECT_EXIT((void)ScenarioSpec::fromString("invocations = -4\n"),
-                ::testing::ExitedWithCode(1), "must be >= 0");
+                ::testing::ExitedWithCode(1),
+                "<config>:1: scenario key 'invocations' must be >= 0");
     EXPECT_EXIT((void)ScenarioSpec::fromString("calibrate = maybe\n"),
-                ::testing::ExitedWithCode(1), "expects a boolean");
+                ::testing::ExitedWithCode(1),
+                "<config>:1: scenario key 'calibrate' expects a boolean");
     EXPECT_EXIT((void)ScenarioSpec::fromString("fleet = cascade:zero\n"),
-                ::testing::ExitedWithCode(1), "bad machine count");
-    EXPECT_EXIT((void)ScenarioSpec::fromString("functions = nope-py\n")
-                    .functionPool(),
-                ::testing::ExitedWithCode(1), "nope-py");
+                ::testing::ExitedWithCode(1),
+                "<config>:1: scenario key 'fleet': bad machine count");
+    // The function pool resolves when the row is applied, so a bad
+    // name points at its line too.
+    const std::string path = writeTempFile(
+        "bad_functions.scenario", "seed = 3\nfunctions = nope-py\n");
+    EXPECT_EXIT((void)ScenarioSpec::fromFile(path),
+                ::testing::ExitedWithCode(1),
+                "bad_functions\\.scenario:2: scenario key 'functions': "
+                "unknown function 'nope-py'");
+    EXPECT_EXIT((void)ScenarioSpec::fromString("functions = ,\n"),
+                ::testing::ExitedWithCode(1),
+                "<config>:1: scenario key 'functions' names no functions");
     EXPECT_EXIT((void)ScenarioSpec::fromFile("/nonexistent.scenario"),
                 ::testing::ExitedWithCode(1), "");
 }
@@ -537,47 +612,7 @@ TEST(ScenarioSpecDeath, BadValueNamesFileAndLine)
     }
 }
 
-// ---- runner equivalence with the default fleet source -----------------
-
-/** An 8-core cut of the Cascade Lake preset, registered once so
- *  fleet specs can name it. */
-const std::string &
-testMachine()
-{
-    static const std::string name = [] {
-        sim::MachineConfig cfg =
-            sim::MachineCatalog::get("cascade-5218");
-        cfg.name = "scenario-test-cascade-8";
-        cfg.cores = 8;
-        sim::MachineCatalog::registerPreset(cfg);
-        return cfg.name;
-    }();
-    return name;
-}
-
-TEST(ScenarioRunner, PoissonModelMatchesLegacyClusterBitExactly)
-{
-    // The default path: a ClusterConfig with no traffic model.
-    cluster::ClusterConfig cfg;
-    cfg.fleet = {{testMachine(), 2}};
-    cfg.policy = cluster::DispatchPolicy::WarmthAware;
-    cfg.arrivalsPerSecond = 4000;
-    cfg.invocations = 120;
-    cfg.functionPool = onePool();
-    cfg.seed = 11;
-    cfg.threads = 1;
-    cluster::Cluster byDefault(cfg);
-    const cluster::FleetReport &defaultReport = byDefault.run();
-
-    // The scenario path: the same knobs through the poisson plugin.
-    TrafficSpec traffic;
-    traffic.arrivalsPerSecond = cfg.arrivalsPerSecond;
-    traffic.invocations = cfg.invocations;
-    const auto model = makeTrafficModel(traffic);
-    cfg.traffic = model.get();
-    cluster::Cluster viaModel(cfg);
-    EXPECT_TRUE(cluster::identicalTotals(defaultReport, viaModel.run()));
-}
+// ---- runner ---------------------------------------------------------
 
 TEST(ScenarioRunner, FileAndBuilderSpecsProduceIdenticalReports)
 {
@@ -619,7 +654,7 @@ TEST(ScenarioRunner, ThreadedRunsAreDeterministicPerModel)
     for (const std::string model :
          {"poisson", "diurnal", "burst", "trace"}) {
         ScenarioSpec spec;
-        spec.fleet = {{testMachine(), 2}};
+        spec.cluster.fleet = {{testMachine(), 2}};
         spec.traffic.model = model;
         spec.traffic.arrivalsPerSecond = 4000;
         spec.traffic.invocations = 60;
@@ -627,11 +662,11 @@ TEST(ScenarioRunner, ThreadedRunsAreDeterministicPerModel)
         spec.traffic.burstOn = 0.005;
         spec.traffic.burstOff = 0.015;
         spec.traffic.tracePath = tracePath;
-        spec.functions = "float-py";
-        spec.seed = 13;
-        spec.threads = 1;
+        spec.cluster.functionPool = onePool();
+        spec.cluster.seed = 13;
+        spec.cluster.threads = 1;
         ScenarioRunner serial(spec);
-        spec.threads = 4;
+        spec.cluster.threads = 4;
         ScenarioRunner threaded(spec);
         EXPECT_TRUE(cluster::identicalTotals(serial.run(), threaded.run()))
             << model;
