@@ -164,6 +164,8 @@ main()
                 static_cast<double>(sc.eventsProgress));
     json.metric("sched_event", "barriers",
                 static_cast<double>(sc.barriers));
+    json.metric("sched_event", "machine_visits",
+                static_cast<double>(sc.machineVisits));
     json.metric("sched_event", "barriers_elided",
                 static_cast<double>(sc.barriersElided));
     json.metric("sched_event", "idle_quanta_skipped",

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 
 #include "cluster/epoch_pool.h"
@@ -13,6 +14,18 @@
 
 namespace litmus::cluster
 {
+
+namespace
+{
+
+/** Retry-heap order: the earliest (due time, seq) is the front. */
+bool
+retryLater(const Invocation &a, const Invocation &b)
+{
+    return std::tie(a.arrival, a.seq) > std::tie(b.arrival, b.seq);
+}
+
+} // namespace
 
 unsigned
 ClusterConfig::totalMachines() const
@@ -202,8 +215,8 @@ struct Cluster::Machine
     std::unordered_map<std::string, std::deque<Seconds>> warmIdle;
 
     /** Earliest keep-alive expiry across all pools (may be stale-low
-     *  after a warm dispatch; sweeps recompute it). The expiry sweep
-     *  is skipped entirely until the fleet clock reaches it. */
+     *  after a warm dispatch; sweeps recompute it). The cluster's
+     *  expiry heap holds it; the sweep waits for the clock. */
     Seconds nextWarmExpiry = std::numeric_limits<double>::infinity();
 
     /** Memory committed to live invocations (admission control). */
@@ -222,9 +235,6 @@ struct Cluster::Machine
     /** Inside a dispatcher-blindness window: up and serving, but the
      *  dispatcher cannot route new arrivals here. */
     bool blind = false;
-
-    /** Current slowdown multiplier (mirrors engine.speedFactor()). */
-    double speedFactor = 1.0;
 
     std::uint64_t crashes = 0;
     std::uint64_t killed = 0;
@@ -278,11 +288,17 @@ Cluster::Cluster(ClusterConfig cfg)
         for (unsigned i = 0; i < group.count; ++i) {
             const unsigned index =
                 static_cast<unsigned>(machines_.size());
-            machines_.push_back(
+            Machine &m = *machines_.emplace_back(
                 std::make_unique<Machine>(index, machine, cfg_));
-            machines_.back()->discountModel = model;
+            m.discountModel = model;
+            snaps_.push_back({.index = index, .type = m.config.name,
+                              .cores = m.config.cores,
+                              .baseFrequency = m.config.baseFrequency,
+                              .memoryCapacity = m.config.memoryCapacity,
+                              .warmIdle = &m.warmIdle});
         }
     }
+    dispatchable_ = snaps_.size();
     for (const auto &[type, model] : modelsByType) {
         if (!std::any_of(cfg_.fleet.begin(), cfg_.fleet.end(),
                          [&](const MachineGroup &g) {
@@ -324,44 +340,34 @@ Cluster::ledger(unsigned machine) const
     return machines_[machine]->ledger;
 }
 
-std::vector<MachineSnapshot>
-Cluster::snapshots() const
+void
+Cluster::refresh(Machine &m)
 {
-    std::vector<MachineSnapshot> out;
-    out.reserve(machines_.size());
-    for (const auto &m : machines_) {
-        MachineSnapshot snap;
-        snap.index = m->index;
-        snap.type = m->config.name;
-        snap.cores = m->config.cores;
-        snap.baseFrequency = m->config.baseFrequency;
-        snap.liveTasks = static_cast<unsigned>(m->engine.taskCount());
-        snap.committedMemory = m->committedMemory;
-        snap.memoryCapacity = m->config.memoryCapacity;
-        snap.warmIdle = &m->warmIdle;
-        snap.dispatchable = !m->down && !m->blind;
-        snap.speedFactor = m->speedFactor;
-        out.push_back(snap);
-    }
-    return out;
+    ++report_.sched.machineVisits;
+    MachineSnapshot &snap = snaps_[m.index];
+    const bool open = !m.down && !m.blind;
+    dispatchable_ = dispatchable_ + open - snap.dispatchable;
+    snap.dispatchable = open;
+    snap.speedFactor = m.engine.speedFactor();
+    snap.liveTasks = static_cast<unsigned>(m.engine.taskCount());
+    snap.committedMemory = m.committedMemory;
 }
 
 void
-Cluster::dispatch(const Invocation &inv,
-                  std::vector<MachineSnapshot> &snapshots)
+Cluster::dispatch(const Invocation &inv)
 {
-    unsigned chosen = dispatcher_->pick(inv, snapshots);
+    unsigned chosen = dispatcher_->pick(inv, snaps_);
     if (chosen >= machines_.size())
         fatal("dispatcher returned machine ", chosen, " of ",
               machines_.size());
 
     const Bytes footprint = inv.spec->memoryFootprint;
-    if (!snapshots[chosen].fits(footprint)) {
+    if (!snaps_[chosen].fits(footprint)) {
         // Spill to the machine with the most free memory; an overfull
         // fleet rejects the arrival (a platform's 429).
         Bytes bestFree = 0;
         bool found = false;
-        for (const MachineSnapshot &snap : snapshots) {
+        for (const MachineSnapshot &snap : snaps_) {
             if (!snap.dispatchable)
                 continue;
             const Bytes free =
@@ -415,10 +421,11 @@ Cluster::dispatch(const Invocation &inv,
     ++m.dispatched;
     ++report_.dispatched;
 
-    // Keep the batch's snapshots current: no completions happen
-    // between dispatches, so incremental updates are exact.
-    snapshots[chosen].liveTasks += 1;
-    snapshots[chosen].committedMemory = m.committedMemory;
+    const auto pos = std::lower_bound(active_.begin(), active_.end(),
+                                      m.index);
+    if (pos == active_.end() || *pos != m.index)
+        active_.insert(pos, m.index);
+    refresh(m); // exact for the batch: nothing completes in between
 }
 
 void
@@ -455,48 +462,40 @@ Cluster::harvest(Seconds now)
         // The container goes idle-warm until its keep-alive ends.
         const Seconds expiry = done.completionTime + cfg_.keepAlive;
         m.warmIdle[done.spec->name].push_back(expiry);
-        m.nextWarmExpiry = std::min(m.nextWarmExpiry, expiry);
+        if (expiry < m.nextWarmExpiry) {
+            m.nextWarmExpiry = expiry;
+            expiries_.emplace(expiry, m.index);
+        }
     };
 
-    // Reports must not depend on how many epochs one advance spans.
-    // Fold completions grouped by covering epoch barrier (ascending),
-    // machines in index order within a barrier: a k-epoch advance
-    // then accumulates fleet totals in exactly the order k one-epoch
-    // advances would. Each machine's buffer is tick-monotone (capture
-    // order), so one cursor per machine suffices; a one-epoch advance
-    // has one barrier group and this is the plain machine-order fold.
-    const auto barrierOf = [this](std::uint64_t tick) {
-        return (tick + epochQuanta_ - 1) / epochQuanta_;
-    };
-    std::vector<std::size_t> cursor(machines_.size(), 0);
-    for (;;) {
-        std::uint64_t minBarrier =
-            std::numeric_limits<std::uint64_t>::max();
-        for (std::size_t i = 0; i < machines_.size(); ++i) {
-            const auto &completed = machines_[i]->completed;
-            if (cursor[i] < completed.size())
-                minBarrier = std::min(
-                    minBarrier, barrierOf(completed[cursor[i]].tick));
-        }
-        if (minBarrier == std::numeric_limits<std::uint64_t>::max())
-            break;
-        for (std::size_t i = 0; i < machines_.size(); ++i) {
-            Machine &m = *machines_[i];
-            while (cursor[i] < m.completed.size() &&
-                   barrierOf(m.completed[cursor[i]].tick) == minBarrier)
-                fold(m, m.completed[cursor[i]++]);
-        }
+    // Only machines stepped this barrier — the active set — can hold
+    // completions. Reports must not depend on how many epochs one
+    // advance spans, so fold in (covering epoch barrier, machine,
+    // capture) order: a k-epoch advance then accumulates fleet totals
+    // in exactly the order k one-epoch advances would.
+    std::vector<std::tuple<std::uint64_t, unsigned, std::size_t>> order;
+    for (const unsigned i : active_) {
+        const auto &completed = machines_[i]->completed;
+        for (std::size_t k = 0; k < completed.size(); ++k)
+            order.emplace_back(
+                (completed[k].tick + epochQuanta_ - 1) / epochQuanta_, i,
+                k);
     }
-
-    for (const auto &mp : machines_) {
-        Machine &m = *mp;
+    std::sort(order.begin(), order.end());
+    for (const auto &[barrier, i, k] : order)
+        fold(*machines_[i], machines_[i]->completed[k]);
+    std::erase_if(active_, [this](unsigned i) {
+        Machine &m = *machines_[i];
         m.completed.clear();
+        refresh(m);
+        return m.engine.taskCount() == 0;
+    });
 
-        // Expire idle containers whose keep-alive has lapsed. Nothing
-        // can lapse before the tracked minimum, so the sweep is
-        // skipped (bit-identically: it would be a no-op) until then.
-        if (now < m.nextWarmExpiry)
-            continue;
+    // Expire idle containers whose keep-alive has lapsed, on exactly
+    // the machines whose tracked minimum the clock has reached.
+    while (nextExpiry() <= now) {
+        Machine &m = *machines_[expiries_.top().second];
+        expiries_.pop();
         ++report_.sched.eventsKeepAlive;
         m.nextWarmExpiry = std::numeric_limits<double>::infinity();
         // LITMUS-LINT-ALLOW(unordered-iter): order-independent fold — min() over pool fronts commutes and erasing expired pools is per-key; no report, billing total, or dispatch decision sees the visit order
@@ -512,7 +511,22 @@ Cluster::harvest(Seconds now)
                 ++it;
             }
         }
+        if (m.nextWarmExpiry < std::numeric_limits<double>::infinity())
+            expiries_.emplace(m.nextWarmExpiry, m.index);
     }
+}
+
+Seconds
+Cluster::nextExpiry()
+{
+    // A lower expiry, a sweep or a crash stales a machine's entries.
+    for (; !expiries_.empty(); expiries_.pop()) {
+        ++report_.sched.machineVisits;
+        const auto [at, machine] = expiries_.top();
+        if (at == machines_[machine]->nextWarmExpiry)
+            return at;
+    }
+    return std::numeric_limits<double>::infinity();
 }
 
 void
@@ -549,17 +563,10 @@ Cluster::scheduleRetry(const workload::FunctionSpec *spec,
     inv.seq = seq;
     inv.attempt = attempt + 1;
     latestRetry_ = std::max(latestRetry_, due);
-    // Keep the queue sorted by (due, seq): crashes are processed in
-    // (event, machine, task) order and due times are monotone per
-    // invocation, so the serve order is deterministic.
-    const auto pos = std::upper_bound(
-        retryQueue_.begin(), retryQueue_.end(), inv,
-        [](const Invocation &a, const Invocation &b) {
-            if (a.arrival != b.arrival)
-                return a.arrival < b.arrival;
-            return a.seq < b.seq;
-        });
-    retryQueue_.insert(pos, inv);
+    // One pending retry per invocation makes (due, seq) unique, so the
+    // heap's serve order is deterministic.
+    retryQueue_.push_back(inv);
+    std::push_heap(retryQueue_.begin(), retryQueue_.end(), retryLater);
 }
 
 void
@@ -627,11 +634,12 @@ Cluster::crashMachine(Machine &m, Seconds now)
               ": live invocations survived a crash");
 
     // State loss: committed memory and every warm container are gone,
-    // and the expiry tracker resets with them — a fresh minimum is
-    // established as post-restart completions park containers.
+    // and the expiry tracker (and its heap entries) resets with them —
+    // post-restart completions establish a fresh minimum.
     m.committedMemory = 0;
     m.warmIdle.clear();
     m.nextWarmExpiry = std::numeric_limits<double>::infinity();
+    std::erase(active_, m.index);
 }
 
 void
@@ -655,11 +663,9 @@ Cluster::applyFaults(Seconds now)
             m.down = false;
             break;
         case FaultKind::SlowStart:
-            m.speedFactor = ev.factor;
             m.engine.setSpeedFactor(ev.factor);
             break;
         case FaultKind::SlowEnd:
-            m.speedFactor = 1.0;
             m.engine.setSpeedFactor(1.0);
             break;
         case FaultKind::BlindStart:
@@ -669,6 +675,7 @@ Cluster::applyFaults(Seconds now)
             m.blind = false;
             break;
         }
+        refresh(m);
     }
 }
 
@@ -698,15 +705,6 @@ struct Cluster::Serve
     /** Worker pool advancing busy engines between barriers. */
     EpochPool pool;
 };
-
-bool
-Cluster::anyLive() const
-{
-    return std::any_of(machines_.begin(), machines_.end(),
-                       [](const auto &m) {
-                           return m->engine.taskCount() > 0;
-                       });
-}
 
 void
 Cluster::advanceFleetEpochs(std::uint64_t epochs)
@@ -738,8 +736,8 @@ Cluster::dispatchDue(Serve &s, Seconds now)
     // their arrival time (never early), with warm containers parked
     // by this barrier's completions already visible. Due retries
     // interleave with due arrivals in (time, seq) order — a retry's
-    // seq predates every pending arrival's. One snapshot set serves
-    // the whole batch (dispatch keeps it current); if no machine is
+    // seq predates every pending arrival's. Dispatch keeps the
+    // snapshots current through the batch; if no machine is
     // dispatchable, everything due waits for the barrier that reopens
     // the fleet. The stream head is peeked (not pulled) until the
     // batch actually takes it, so a blocked fleet buffers at most one
@@ -750,12 +748,7 @@ Cluster::dispatchDue(Serve &s, Seconds now)
         (!retryQueue_.empty() && retryQueue_.front().arrival <= now);
     if (!anyDue)
         return;
-    auto snaps = snapshots();
-    const bool open = std::any_of(snaps.begin(), snaps.end(),
-                                  [](const MachineSnapshot &snap) {
-                                      return snap.dispatchable;
-                                  });
-    while (open) {
+    while (dispatchable_ > 0) {
         head = s.head();
         const bool arrivalDue = head != nullptr && head->arrival <= now;
         const bool retryDue = !retryQueue_.empty() &&
@@ -770,16 +763,18 @@ Cluster::dispatchDue(Serve &s, Seconds now)
                          r.seq < head->seq);
         }
         if (takeRetry) {
-            const Invocation inv = retryQueue_.front();
-            retryQueue_.erase(retryQueue_.begin());
+            std::pop_heap(retryQueue_.begin(), retryQueue_.end(),
+                          retryLater);
+            const Invocation inv = retryQueue_.back();
+            retryQueue_.pop_back();
             ++report_.sched.eventsRetry;
-            dispatch(inv, snaps);
+            dispatch(inv);
         } else {
             Invocation inv;
             s.stream->next(inv);
             s.lastArrival = inv.arrival;
             ++report_.sched.eventsArrival;
-            dispatch(inv, snaps);
+            dispatch(inv);
         }
     }
 }
@@ -790,7 +785,6 @@ Cluster::serve(Serve &s)
     const std::vector<FaultEvent> &faultEvents = faultPlan_.events();
     const Seconds inf = std::numeric_limits<double>::infinity();
     std::vector<std::function<void()>> jobs;
-    jobs.reserve(machines_.size());
 
     while (s.head() != nullptr || !retryQueue_.empty() || anyLive()) {
         // The drain base extends over the peeked head while arrivals
@@ -832,17 +826,11 @@ Cluster::serve(Serve &s)
         if (faultCursor_ < faultEvents.size())
             next = std::min(next, faultEvents[faultCursor_].at);
         if (live) {
-            Seconds warmMin = inf;
-            for (const auto &m : machines_)
-                warmMin = std::min(warmMin, m->nextWarmExpiry);
+            const Seconds warmMin = nextExpiry();
             if (warmMin > fleetClock_)
                 next = std::min(next, warmMin);
         }
-        const bool dueNow =
-            due && std::any_of(machines_.begin(), machines_.end(),
-                               [](const auto &m) {
-                                   return !m->down && !m->blind;
-                               });
+        const bool dueNow = due && dispatchable_ > 0;
 
         std::uint64_t epochs = 1;
         if (!dueNow && next < inf && (workPending || !live)) {
@@ -878,17 +866,17 @@ Cluster::serve(Serve &s)
             advanceFleetEpochs(1);
         }
 
-        // Advance every busy machine to the new barrier in parallel;
-        // idle machines are never stepped — they sync lazily at their
+        // Advance the active set to the new barrier in parallel; idle
+        // machines are never stepped — they sync lazily at their
         // next dispatch via Engine::skipIdleQuanta.
         jobs.clear();
         const std::uint64_t quanta = epochs * epochQuanta_;
-        for (const auto &m : machines_) {
-            Machine *machine = m.get();
-            if (machine->engine.taskCount() > 0)
-                jobs.emplace_back([machine, quanta] {
-                    machine->engine.runQuanta(quanta);
-                });
+        for (const unsigned i : active_) {
+            Machine *machine = machines_[i].get();
+            ++report_.sched.machineVisits;
+            jobs.emplace_back([machine, quanta] {
+                machine->engine.runQuanta(quanta);
+            });
         }
         if (!jobs.empty())
             s.pool.run(jobs);
@@ -986,9 +974,6 @@ Cluster::run()
     report_.meanLatency = report_.completions > 0
                               ? latencySum_ / report_.completions
                               : 0.0;
-    report_.commercialUsd = 0;
-    report_.litmusUsd = 0;
-    report_.machines.clear();
     report_.machines.reserve(machines_.size());
     for (const auto &mp : machines_) {
         const Machine &m = *mp;
@@ -1024,7 +1009,6 @@ Cluster::run()
     // first-seen order (a type split across several fleet groups
     // still gets one row), folded in machine order like the fleet
     // sums.
-    report_.types.clear();
     for (const MachineReport &mr : report_.machines) {
         auto slot = std::find_if(report_.types.begin(),
                                  report_.types.end(),

@@ -21,11 +21,12 @@
  * stepping idle machines at all. Completions are folded back into
  * warm pools and ledgers in (barrier, machine) order, and then the
  * cluster (single-threaded) routes the arrivals that came due, using
- * machine snapshots taken at the barrier — an invocation starts at
- * the first epoch boundary at or after its arrival, never early. All
- * cross-thread state is barrier-local, so a fixed seed gives
- * bit-identical fleet totals at any thread count;
- * tests/golden/cluster.txt pins them.
+ * machine snapshots current at the barrier — an invocation starts at
+ * the first epoch boundary at or after its arrival, never early. An
+ * active set, a keep-alive expiry heap and persistent snapshots keep
+ * per-barrier work proportional to busy machines, not fleet size.
+ * All cross-thread state is barrier-local, so a fixed seed gives
+ * bit-identical totals at any thread count (tests/golden/cluster.txt).
  *
  * Warm containers: every completed invocation leaves one idle warm
  * container behind (keep-alive bounded). A dispatch that finds one
@@ -37,8 +38,10 @@
 #define LITMUS_CLUSTER_CLUSTER_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -262,6 +265,10 @@ struct SchedulerCounters
 
     /** Epoch-grid barriers skipped (grid barriers minus taken). */
     std::uint64_t barriersElided = 0;
+
+    /** Machines touched at barriers (jobs, harvests, expiry-heap
+     *  checks, snapshot refreshes); not pick() or once-per-run loops. */
+    std::uint64_t machineVisits = 0;
 };
 
 /**
@@ -439,8 +446,8 @@ class Cluster
      */
     Seconds serve(Serve &s);
 
-    /** True while any engine owns a live task. */
-    bool anyLive() const;
+    /** True while any engine owns a live task: the active set. */
+    bool anyLive() const { return !active_.empty(); }
 
     /**
      * Advance the canonical fleet clock by whole epochs, one fadd per
@@ -460,26 +467,27 @@ class Cluster
     /** Dispatch every due arrival and retry at the barrier @p now. */
     void dispatchDue(Serve &s, Seconds now);
 
-    /** Dispatcher view of every machine, taken at an epoch barrier. */
-    std::vector<MachineSnapshot> snapshots() const;
+    /** Route and launch one arrival (joins the active set). */
+    void dispatch(const Invocation &inv);
+
+    /** Copy @p m's dispatch state into its snapshot (and count). */
+    void refresh(Machine &m);
 
     /**
-     * Route and launch one arrival; updates @p snapshots in place so
-     * one snapshot set serves a whole dispatch batch.
-     */
-    void dispatch(const Invocation &inv,
-                  std::vector<MachineSnapshot> &snapshots);
-
-    /**
-     * Fold buffered completions into warm pools and ledgers, then
-     * sweep lapsed keep-alives. Reports must not depend on how many
-     * epochs one advance spans, so completions are folded grouped by
-     * their covering epoch barrier (ascending), machines in index
-     * order within a barrier: an advance over k epochs accumulates
-     * fleet totals in the same floating-point order as k one-epoch
-     * advances.
+     * Fold the active machines' buffered completions into warm pools
+     * and ledgers, drop drained machines from the active set, then
+     * sweep lapsed keep-alives off the expiry heap. Reports must not
+     * depend on how many epochs one advance spans, so completions are
+     * folded grouped by their covering epoch barrier (ascending),
+     * machines in index order within a barrier: an advance over k
+     * epochs accumulates fleet totals in the same floating-point
+     * order as k one-epoch advances.
      */
     void harvest(Seconds now);
+
+    /** Earliest keep-alive expiry (infinity when none); drops stale
+     *  heap tops. */
+    Seconds nextExpiry();
 
     /** Apply every fault transition due at or before @p now. */
     void applyFaults(Seconds now);
@@ -523,13 +531,29 @@ class Cluster
     FaultPlan faultPlan_;
     std::size_t faultCursor_ = 0;
 
-    /** Killed invocations awaiting re-dispatch, sorted by
-     *  (due time, seq); Invocation::arrival holds the due time. */
+    /** Killed invocations awaiting re-dispatch, a (due time, seq)
+     *  min-heap; Invocation::arrival holds the due time. */
     std::vector<Invocation> retryQueue_;
 
     /** Latest retry due time ever queued (drain-cap base). */
     Seconds latestRetry_ = 0;
     /** @} */
+
+    /** Indices of machines owning live tasks, ascending. */
+    std::vector<unsigned> active_;
+
+    /** The dispatcher's view, one per machine, refreshed in place. */
+    std::vector<MachineSnapshot> snaps_;
+
+    /** Snapshots marked dispatchable. */
+    std::size_t dispatchable_ = 0;
+
+    /** (expiry, machine) min-heap; an entry is live only while it
+     *  equals the machine's nextWarmExpiry. */
+    std::priority_queue<std::pair<Seconds, unsigned>,
+                        std::vector<std::pair<Seconds, unsigned>>,
+                        std::greater<>>
+        expiries_;
 };
 
 } // namespace litmus::cluster

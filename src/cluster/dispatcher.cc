@@ -63,19 +63,22 @@ MachineSnapshot::warmIdleFor(const std::string &function) const
 namespace
 {
 
-/** Least live tasks among dispatchable machines; ties go to the
- *  lowest machine index. */
+/**
+ * The dispatchable machine with the lowest @p key, ties to the lowest
+ * index (strict <, so routing is deterministic).
+ */
+template <typename Key>
 unsigned
-leastLoadedIndex(const std::vector<MachineSnapshot> &machines)
+cheapest(const std::vector<MachineSnapshot> &machines, Key key)
 {
     unsigned best = 0;
-    unsigned bestLoad = std::numeric_limits<unsigned>::max();
+    double bestKey = std::numeric_limits<double>::infinity();
     bool found = false;
     for (const MachineSnapshot &m : machines) {
         if (!m.dispatchable)
             continue;
-        if (m.liveTasks < bestLoad) {
-            bestLoad = m.liveTasks;
+        if (const double k = key(m); k < bestKey) {
+            bestKey = k;
             best = m.index;
             found = true;
         }
@@ -125,7 +128,9 @@ class LeastLoadedDispatcher final : public Dispatcher
     unsigned pick(const Invocation &,
                   const std::vector<MachineSnapshot> &machines) override
     {
-        return leastLoadedIndex(machines);
+        return cheapest(machines, [](const MachineSnapshot &m) {
+            return static_cast<double>(m.liveTasks);
+        });
     }
 };
 
@@ -142,22 +147,12 @@ class WarmthAwareDispatcher final : public Dispatcher
     {
         // Among machines holding an idle warm container for this
         // function, take the least loaded; a cold fleet falls back to
-        // plain least-loaded placement.
-        unsigned best = 0;
-        unsigned bestLoad = std::numeric_limits<unsigned>::max();
-        bool found = false;
-        for (const MachineSnapshot &m : machines) {
-            if (!m.dispatchable)
-                continue;
-            if (m.warmIdleFor(inv.spec->name) == 0)
-                continue;
-            if (m.liveTasks < bestLoad) {
-                bestLoad = m.liveTasks;
-                best = m.index;
-                found = true;
-            }
-        }
-        return found ? best : leastLoadedIndex(machines);
+        // plain least-loaded placement. The offset ranks every cold
+        // machine after every warm one.
+        return cheapest(machines, [&](const MachineSnapshot &m) {
+            const double cold = m.warmIdleFor(inv.spec->name) > 0 ? 0 : 1;
+            return m.liveTasks + cold * 0x1p32;
+        });
     }
 };
 
@@ -174,26 +169,10 @@ class CostAwareDispatcher final : public Dispatcher
     {
         // Cheapest predicted completion wins: a slower machine with
         // idle cores beats a faster one whose cores already
-        // time-share. Strict < keeps ties on the lowest index, so
-        // routing is deterministic.
-        unsigned best = 0;
-        double bestCost = std::numeric_limits<double>::infinity();
-        bool found = false;
-        for (const MachineSnapshot &m : machines) {
-            if (!m.dispatchable)
-                continue;
-            const double cost = m.predictedCost();
-            if (cost < bestCost) {
-                bestCost = cost;
-                best = m.index;
-                found = true;
-            }
-        }
-        if (!found)
-            fatal("dispatcher: no dispatchable machine (the cluster "
-                  "must hold arrivals while the whole fleet is down "
-                  "or blind)");
-        return best;
+        // time-share.
+        return cheapest(machines, [](const MachineSnapshot &m) {
+            return m.predictedCost();
+        });
     }
 };
 

@@ -4,7 +4,7 @@
  *
  * The cluster presents each dispatcher with a snapshot of every
  * machine (live tasks, committed memory, warm-container inventory)
- * taken at the current dispatch epoch's barrier, so decisions are
+ * current at the dispatch epoch's barrier, so decisions are
  * deterministic regardless of how many worker threads advance the
  * engines between barriers.
  *

@@ -194,7 +194,7 @@ printFleetReport(std::ostream &os, const cluster::FleetReport &report)
        << sched.eventsArrival << " retry " << sched.eventsRetry
        << " fault " << sched.eventsFault << " keepalive "
        << sched.eventsKeepAlive << " progress " << sched.eventsProgress
-       << "\n";
+       << "  machine visits " << sched.machineVisits << "\n";
 
     // Arrival-flow footer: how the traffic source fed the fleet.
     // Diagnostic only — never part of the bit-identity contract.

@@ -9,7 +9,7 @@
 
 #include "cluster/cluster.h"
 #include "core/calibration.h"
-#include "poisson_traffic.h"
+#include "test_traffic.h"
 #include "workload/suite.h"
 #include "sim/machine_catalog.h"
 
@@ -619,6 +619,125 @@ TEST(Cluster, DuplicateModelsUnderAliasAndCanonicalNameAreFatal)
     cfg.discountModels["icelake"] = &b; // same type, different model
     EXPECT_EXIT(Cluster{cfg}, ::testing::ExitedWithCode(1),
                 "two discount models");
+}
+
+
+// ---------------------------------------------------------------------
+// Keep-alive expiry heap.
+// ---------------------------------------------------------------------
+
+/** Replay @p rows (alpha-go arrivals) on one machine with a 20 ms
+ *  keep-alive under @p faults. */
+FleetReport
+replayOnOne(const std::string &name, const std::string &rows,
+            unsigned threads, const FaultSpec &faults = {})
+{
+    ClusterConfig cfg;
+    cfg.fleet = {{testMachine(), 1}};
+    cfg.traffic = tests::traceTraffic(name, rows);
+    cfg.functionPool = {&tinySuite()[0]};
+    cfg.keepAlive = 0.02;
+    cfg.faults = faults;
+    cfg.threads = threads;
+    Cluster fleet(cfg);
+    return fleet.run();
+}
+
+TEST(Cluster, KeepAliveHeapEdgeCases)
+{
+    // A cold alpha-go takes ~4.5 ms, a warm one ~1 ms; four arrivals
+    // at 24 ms keep work in flight while a later arrival is pending,
+    // which is when the loop arms a barrier at the earliest expiry.
+    const std::string burst = "0.024\n0.024\n0.024\n0.024\n";
+    FaultSpec crash; // the machine is down from 8 ms to 10 ms
+    crash.crashAt = {{0.008, 0}};
+    crash.restartDelay = 0.002;
+    struct Case
+    {
+        const char *name;
+        std::string rows;
+        FaultSpec faults;
+        std::uint64_t cold, warm, keepAlive, barriers;
+    };
+    const std::vector<Case> cases = {
+        // Warm reuses at 10 and 20 ms leave the tracked minimum at
+        // the first container's ~24.5 ms expiry (stale-low): the
+        // burst's advance stops there and sweeps.
+        {"ka_stale_low", "0\n0.01\n0.02\n" + burst + "0.06\n", {},
+         5, 3, 3, 13},
+        // The crash wipes the container parked at ~5 ms: its heap
+        // entry (~25 ms) must neither arm a barrier nor sweep.
+        {"ka_crash", "0\n0.02\n0.05\n", crash, 3, 0, 1, 11},
+        // After the restart a container is re-parked at ~15 ms, before
+        // the stale entry's time; the stale entry stays inert.
+        {"ka_repark", "0\n0.0105\n" + burst + "0.06\n", crash, 6, 1,
+         2, 13},
+    };
+    for (const Case &c : cases) {
+        const FleetReport serial = replayOnOne(c.name, c.rows, 1, c.faults);
+        const FleetReport threaded =
+            replayOnOne(c.name, c.rows, 4, c.faults);
+        for (const FleetReport *r : {&serial, &threaded}) {
+            EXPECT_EQ(r->coldStarts, c.cold) << c.name;
+            EXPECT_EQ(r->warmStarts, c.warm) << c.name;
+            EXPECT_EQ(r->sched.eventsKeepAlive, c.keepAlive) << c.name;
+            EXPECT_EQ(r->sched.barriers, c.barriers) << c.name;
+            EXPECT_EQ(r->completions, r->arrivals) << c.name;
+        }
+        EXPECT_TRUE(identicalTotals(serial, threaded)) << c.name;
+        EXPECT_EQ(serial.sched.machineVisits,
+                  threaded.sched.machineVisits)
+            << c.name;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Coordinator asymptotics: per-barrier work follows busy machines.
+// ---------------------------------------------------------------------
+
+FleetReport
+roundRobinRun(unsigned machines, unsigned threads, const FaultSpec &faults)
+{
+    ClusterConfig cfg;
+    cfg.fleet = {{testMachine(), machines}};
+    cfg.traffic = tests::poissonTraffic(500, 500);
+    cfg.functionPool = tinyPool();
+    cfg.threads = threads;
+    cfg.faults = faults;
+    Cluster fleet(cfg);
+    return fleet.run();
+}
+
+TEST(CoordinatorVisits, SixteenTimesTheFleetCostsTheSameVisits)
+{
+    // Identical traffic whose concurrency stays far below either
+    // fleet: the coordinator must touch about as many machines at 4096
+    // as at 256. A per-barrier fleet scan makes the ratio ~16.
+    const FleetReport small = roundRobinRun(256, 1, {});
+    const FleetReport large = roundRobinRun(4096, 1, {});
+    EXPECT_EQ(small.arrivals, large.arrivals);
+    EXPECT_EQ(small.completions, large.completions);
+    EXPECT_GT(small.sched.machineVisits, 0u);
+    EXPECT_LE(large.sched.machineVisits, 2 * small.sched.machineVisits)
+        << "256 machines: " << small.sched.machineVisits
+        << " visits, 4096 machines: " << large.sched.machineVisits;
+}
+
+TEST(CoordinatorVisits, ThreadedCrashRunMatchesSerial)
+{
+    // Crashes drop machines from the active set mid-run; the barrier-
+    // only bookkeeping must give the same run on 4 worker threads.
+    FaultSpec faults;
+    faults.crashMtbf = 0.2;
+    faults.restartDelay = 0.05;
+    faults.retry = RetryPolicy::RetryBackoff;
+    faults.retryBackoff = 0.002;
+    const FleetReport serial = roundRobinRun(64, 1, faults);
+    const FleetReport threaded = roundRobinRun(64, 4, faults);
+    EXPECT_GT(serial.crashes, 0u);
+    EXPECT_TRUE(identicalTotals(serial, threaded));
+    EXPECT_EQ(serial.sched.barriers, threaded.sched.barriers);
+    EXPECT_EQ(serial.sched.machineVisits, threaded.sched.machineVisits);
 }
 
 } // namespace

@@ -21,7 +21,7 @@
 #include "cluster/cluster.h"
 #include "common/rng.h"
 #include "core/poppa.h"
-#include "poisson_traffic.h"
+#include "test_traffic.h"
 #include "sim/engine.h"
 #include "workload/program.h"
 #include "sim/machine_catalog.h"

@@ -18,7 +18,7 @@
 
 #include "cluster/cluster.h"
 #include "common/config_reader.h"
-#include "poisson_traffic.h"
+#include "test_traffic.h"
 #include "scenario/scenario.h"
 #include "sim/machine_catalog.h"
 #include "workload/suite.h"
@@ -523,6 +523,101 @@ TEST(FaultCluster, RestartRevivesAndFleetDrains)
                   report.rejectedMemory,
               report.arrivals);
     EXPECT_GE(report.makespan, 0.01 + 0.02);
+}
+
+/** Bit-identical reports: fleet totals and every machine slice. */
+void
+expectSameReports(const FleetReport &a, const FleetReport &b)
+{
+    EXPECT_TRUE(identicalTotals(a, b));
+    ASSERT_EQ(a.machines.size(), b.machines.size());
+    for (std::size_t i = 0; i < a.machines.size(); ++i) {
+        const MachineReport &x = a.machines[i];
+        const MachineReport &y = b.machines[i];
+        EXPECT_EQ(x.dispatched, y.dispatched) << "machine " << i;
+        EXPECT_EQ(x.completions, y.completions) << "machine " << i;
+        EXPECT_EQ(x.billedCpuSeconds, y.billedCpuSeconds)
+            << "machine " << i;
+        EXPECT_EQ(x.quanta, y.quanta) << "machine " << i;
+        EXPECT_EQ(x.killedInvocations, y.killedInvocations)
+            << "machine " << i;
+    }
+}
+
+/** Two machines, least-loaded (ties to machine 0), replaying
+ *  @p rows of alpha-go arrivals under @p faults. No keep-alive, so
+ *  every start is cold (~4.5 ms). */
+ClusterConfig
+replayFleet(const std::string &name, const std::string &rows,
+            const FaultSpec &faults)
+{
+    ClusterConfig cfg = smallFleet(2);
+    cfg.traffic = tests::traceTraffic(name, rows);
+    cfg.functionPool = {&tinySuite()[0]};
+    cfg.keepAlive = 0;
+    cfg.faults = faults;
+    return cfg;
+}
+
+TEST(FaultCluster, LastBusyMachineCrashEmptiesTheLoop)
+{
+    // Every arrival lands on idle machine 0, so the crash at 32 ms
+    // kills the only busy machine, mid-way through its fourth. With
+    // nothing left in flight or queued the loop must exit on the
+    // emptied active set at the crash barrier, not at the restart.
+    FaultSpec faults;
+    faults.crashAt = {{0.032, 0}};
+    faults.restartDelay = 0.05;
+    faults.retry = RetryPolicy::Drop;
+    ClusterConfig cfg =
+        replayFleet("last_busy_crash", "0\n0.01\n0.02\n0.03\n", faults);
+    Cluster serial(cfg);
+    const FleetReport &report = serial.run();
+    EXPECT_EQ(report.crashes, 1u);
+    EXPECT_EQ(report.killedInvocations, 1u);
+    EXPECT_EQ(report.abandoned, 1u);
+    EXPECT_EQ(report.completions, 3u);
+    EXPECT_EQ(report.machines[1].dispatched, 0u);
+    EXPECT_GE(report.makespan, 0.032);
+    EXPECT_LT(report.makespan, 0.0325);
+    for (unsigned i = 0; i < 2; ++i)
+        EXPECT_EQ(serial.engine(i).taskCount(), 0u);
+
+    cfg.threads = 4;
+    Cluster threaded(cfg);
+    expectSameReports(report, threaded.run());
+}
+
+TEST(FaultCluster, AllBlindFleetHoldsArrivalsUntilBlindEnd)
+{
+    // Both machines are blind from 0 to 20 ms: nothing is
+    // dispatchable, so the arrivals at 5 and 10 ms wait and go out
+    // together at the BlindEnd barrier.
+    FaultSpec faults;
+    faults.blindAt = {{0.0, 0}, {0.0, 1}};
+    faults.blindDuration = 0.02;
+    const std::string rows = "0.005\n0.01\n";
+    ClusterConfig cfg = replayFleet("all_blind", rows, faults);
+    Cluster serial(cfg);
+    const FleetReport &report = serial.run();
+    EXPECT_EQ(report.dispatched, 2u);
+    EXPECT_EQ(report.completions, 2u);
+    EXPECT_EQ(report.sched.eventsArrival, 2u);
+    // Held together: least-loaded splits the pair across the fleet,
+    // and both finish a cold start after the 20 ms barrier.
+    EXPECT_EQ(report.machines[0].dispatched, 1u);
+    EXPECT_EQ(report.machines[1].dispatched, 1u);
+    EXPECT_GT(report.makespan, 0.024);
+
+    Cluster unblinded(replayFleet("all_blind", rows, FaultSpec{}));
+    const FleetReport &plain = unblinded.run();
+    // Unblinded, each arrival finds machine 0 idle on arrival.
+    EXPECT_EQ(plain.machines[0].dispatched, 2u);
+    EXPECT_LT(plain.makespan, 0.016);
+
+    cfg.threads = 4;
+    Cluster threaded(cfg);
+    expectSameReports(report, threaded.run());
 }
 
 // ---------------------------------------------------------------------
