@@ -20,7 +20,6 @@
 #include "common/arg_parser.h"
 #include "common/logging.h"
 #include "scenario/scenario_runner.h"
-#include "sim/engine.h"
 #include "sim/machine_catalog.h"
 
 using namespace litmus;
@@ -35,19 +34,12 @@ main(int argc, char **argv)
                    "spec; explicit flags overlay it")
         .addOption("machine",
                    "key=value preset file registered into the catalog "
-                   "(must set name=); name it in --fleet=<name>:N")
-        .addSwitch("exact-quantum",
-                   "disable the steady-state fast-forward engine "
-                   "(bit-identical totals, slower; A/B validation)");
+                   "(must set name=); name it in --fleet=<name>:N");
     for (const scenario::ScenarioKey &key :
          scenario::ScenarioSpec::schema())
         args.addOption(std::string(key.name), std::string(key.help));
     args.parseOrExit(argc, argv);
 
-    // Applies to every engine the run constructs (fleet machines and
-    // calibration sweeps alike).
-    if (args.has("exact-quantum"))
-        sim::Engine::setDefaultFastForward(false);
     if (args.has("machine"))
         (void)sim::MachineCatalog::registerFromFile(args.get("machine"));
 

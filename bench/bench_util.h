@@ -1,15 +1,13 @@
 /**
  * @file
  * Shared helpers for the experiment benches: standard calibrations,
- * paper-vs-measured summary lines, machine-readable JSON artifacts,
- * and environment knobs.
+ * paper-vs-measured summary lines, peak-RSS probes, and environment
+ * knobs.
  *
  * Every bench prints the series the corresponding paper figure/table
  * reports, a `paper=` line with the headline numbers from the paper,
  * and a `measured=` line with ours, so EXPERIMENTS.md can be filled
- * by running the binaries. Benches on the perf trajectory also write
- * a BENCH_<name>.json artifact (BenchJson) that CI prints and
- * uploads per run.
+ * by running the binaries.
  */
 
 #ifndef LITMUS_BENCH_BENCH_UTIL_H
@@ -18,17 +16,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/stats.h"
 #include "common/text_table.h"
 #include "core/experiment.h"
 #include "sim/machine_catalog.h"
@@ -207,94 +201,6 @@ peakRssBytes()
     }
     return 0;
 }
-
-/**
- * Machine-readable bench artifact: grouped numeric metrics written as
- * one JSON object per group, in insertion order. The output path
- * defaults to bench-out/BENCH_<name>.json under the working directory
- * (the directory is created on write), so every bench's artifacts
- * collect in one place for CI upload; LITMUS_BENCH_JSON overrides the
- * full path (shared by every bench, so CI can redirect a single
- * bench's artifact).
- */
-class BenchJson
-{
-  public:
-    /** @param default_path e.g. "BENCH_engine.json" (lands in
-     *  bench-out/) */
-    explicit BenchJson(std::string default_path)
-        : path_("bench-out/" + std::move(default_path))
-    {
-        const char *env = std::getenv("LITMUS_BENCH_JSON");
-        if (env && *env)
-            path_ = env;
-    }
-
-    /** Record one metric under a group ("" = top level). */
-    void metric(const std::string &group, const std::string &key,
-                double value)
-    {
-        groupFor(group).emplace_back(key, value);
-    }
-
-    /** Write the artifact; fatal() when unwritable. */
-    void write(std::ostream &echo = std::cout) const
-    {
-        const std::filesystem::path parent =
-            std::filesystem::path(path_).parent_path();
-        if (!parent.empty()) {
-            std::error_code ec;
-            std::filesystem::create_directories(parent, ec);
-            if (ec)
-                fatal("BenchJson: cannot create ", parent.string(),
-                      ": ", ec.message());
-        }
-        std::ofstream json(path_);
-        if (!json)
-            fatal("BenchJson: cannot write ", path_);
-        json << std::setprecision(17) << "{\n";
-        bool first = true;
-        for (const auto &[group, metrics] : groups_) {
-            if (!group.empty()) {
-                json << (first ? "" : ",\n") << "  \"" << group
-                     << "\": {\n";
-                first = false;
-                for (std::size_t i = 0; i < metrics.size(); ++i) {
-                    json << "    \"" << metrics[i].first
-                         << "\": " << metrics[i].second
-                         << (i + 1 < metrics.size() ? ",\n" : "\n");
-                }
-                json << "  }";
-            } else {
-                for (const auto &[key, value] : metrics) {
-                    json << (first ? "" : ",\n") << "  \"" << key
-                         << "\": " << value;
-                    first = false;
-                }
-            }
-        }
-        json << "\n}\n";
-        echo << "json written to " << path_ << "\n";
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    using Metrics = std::vector<std::pair<std::string, double>>;
-
-    Metrics &groupFor(const std::string &group)
-    {
-        for (auto &[name, metrics] : groups_) {
-            if (name == group)
-                return metrics;
-        }
-        groups_.emplace_back(group, Metrics{});
-        return groups_.back().second;
-    }
-
-    std::string path_;
-    std::vector<std::pair<std::string, Metrics>> groups_;
-};
 
 } // namespace litmus::bench
 

@@ -145,33 +145,6 @@ main()
             "% (warmth-aware), max price-conservation error " +
             TextTable::num(worstConservation, 9));
 
-    bench::BenchJson json("BENCH_fleet.json");
-    json.metric("", "scaling_throughput_x",
-                throughput1 > 0 ? throughput16 / throughput1 : 0.0);
-    json.metric("", "cold_rate_rr_16", coldRr16);
-    json.metric("", "cold_rate_warmth_16", coldWarm16);
-    json.metric("", "max_conservation_error", worstConservation);
-    const cluster::SchedulerCounters &sc = serialReport.sched;
-    json.metric("sched_event", "events_arrival",
-                static_cast<double>(sc.eventsArrival));
-    json.metric("sched_event", "events_retry",
-                static_cast<double>(sc.eventsRetry));
-    json.metric("sched_event", "events_fault",
-                static_cast<double>(sc.eventsFault));
-    json.metric("sched_event", "events_keepalive",
-                static_cast<double>(sc.eventsKeepAlive));
-    json.metric("sched_event", "events_progress",
-                static_cast<double>(sc.eventsProgress));
-    json.metric("sched_event", "barriers",
-                static_cast<double>(sc.barriers));
-    json.metric("sched_event", "machine_visits",
-                static_cast<double>(sc.machineVisits));
-    json.metric("sched_event", "barriers_elided",
-                static_cast<double>(sc.barriersElided));
-    json.metric("sched_event", "idle_quanta_skipped",
-                static_cast<double>(sc.idleQuantaSkipped));
-    json.write();
-
     if (worstConservation > 1e-6)
         fatal("fig22: fleet billing conservation violated (",
               worstConservation, " relative)");

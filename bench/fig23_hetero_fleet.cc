@@ -20,7 +20,7 @@
  * Knobs: LITMUS_FLEET_INVOCATIONS (arrivals per machine, default
  * 625), LITMUS_FLEET_RATE (per machine, default 500),
  * LITMUS_FLEET_PRICING (0 disables the calibration sweep + Litmus
- * pricing; smoke/sanitizer runs), LITMUS_BENCH_JSON.
+ * pricing; smoke/sanitizer runs).
  */
 
 #include <cmath>
@@ -197,16 +197,6 @@ main()
             TextTable::num(worstTypeError, 9) +
             ", max conservation error " +
             TextTable::num(worstConservation, 9));
-
-    bench::BenchJson json("BENCH_hetero.json");
-    json.metric("", "cost_cascade_share", costCascadeShare);
-    json.metric("", "rr_cascade_share", rrCascadeShare);
-    json.metric("", "discount_cascade", discountCascade);
-    json.metric("", "discount_icelake", discountIcelake);
-    json.metric("", "max_type_breakdown_error", worstTypeError);
-    json.metric("", "max_conservation_error", worstConservation);
-    json.metric("", "deterministic", deterministic ? 1 : 0);
-    json.write();
 
     if (worstTypeError > 1e-6)
         fatal("fig23: per-type billing does not sum to the fleet "

@@ -19,7 +19,7 @@
  * Knobs: LITMUS_FLEET_INVOCATIONS (arrivals per machine, default
  * 500), LITMUS_FLEET_RATE (per machine, default 500),
  * LITMUS_FLEET_PRICING (0 disables calibration + Litmus pricing),
- * LITMUS_CAL_LEVELS (calibration sweep cap), LITMUS_BENCH_JSON.
+ * LITMUS_CAL_LEVELS (calibration sweep cap).
  */
 
 #include <cmath>
@@ -122,10 +122,9 @@ main()
     TextTable table({"model", "arrivals", "served/s", "empirical/s",
                      "cold %", "billed s", "discount %",
                      "deterministic"});
-    bench::BenchJson json("BENCH_scenarios.json");
     bool allDeterministic = true;
     double worstConservation = 0;
-    double discountSum = 0, commercialSum = 0, litmusSum = 0;
+    double commercialSum = 0, litmusSum = 0;
     for (const std::string model :
          {"poisson", "diurnal", "burst", "trace"}) {
         auto spec = baseScenario(model);
@@ -159,7 +158,6 @@ main()
 
         commercialSum += report.commercialUsd;
         litmusSum += report.litmusUsd;
-        discountSum += report.discount();
 
         table.addRow({model, std::to_string(report.arrivals),
                       TextTable::num(report.throughput(), 0),
@@ -168,14 +166,6 @@ main()
                       TextTable::num(report.billedCpuSeconds, 3),
                       TextTable::num(100 * report.discount(), 1),
                       deterministic ? "yes" : "NO"});
-
-        json.metric(model, "throughput", report.throughput());
-        json.metric(model, "empirical_rate", empirical);
-        json.metric(model, "cold_rate", report.coldStartRate());
-        json.metric(model, "billed_cpu_seconds",
-                    report.billedCpuSeconds);
-        json.metric(model, "discount", report.discount());
-        json.metric(model, "deterministic", deterministic ? 1 : 0);
     }
 
     table.print(std::cout);
@@ -193,12 +183,6 @@ main()
             TextTable::num(worstConservation, 9) +
             (allDeterministic ? ", all models deterministic"
                               : ", DETERMINISM BROKEN"));
-
-    json.metric("", "aggregate_discount", aggregateDiscount);
-    json.metric("", "mean_model_discount", discountSum / 4);
-    json.metric("", "max_conservation_error", worstConservation);
-    json.metric("", "all_deterministic", allDeterministic ? 1 : 0);
-    json.write();
 
     if (worstConservation > 1e-6)
         fatal("fig24: fleet billing conservation violated (",

@@ -25,8 +25,7 @@
  *  - the compiled fault schedule itself is replay-identical.
  *
  * Knobs: LITMUS_FLEET_INVOCATIONS (arrivals per machine, default
- * 400), LITMUS_FLEET_RATE (per machine, default 500),
- * LITMUS_BENCH_JSON.
+ * 400), LITMUS_FLEET_RATE (per machine, default 500).
  */
 
 #include <algorithm>
@@ -125,7 +124,6 @@ main()
     TextTable table({"cell", "crashes", "killed", "retried",
                      "abandoned", "lost s", "absorbed s", "cons err",
                      "deterministic"});
-    bench::BenchJson json("BENCH_chaos.json");
     bool allDeterministic = true;
     double worstConservation = 0;
     std::uint64_t totalKilled = 0;
@@ -164,20 +162,6 @@ main()
                       TextTable::num(report.absorbedCpuSeconds, 4),
                       TextTable::num(consErr, 9),
                       deterministic ? "yes" : "NO"});
-
-        json.metric(name, "crashes", report.crashes);
-        json.metric(name, "killed", report.killedInvocations);
-        json.metric(name, "retries", report.retries);
-        json.metric(name, "abandoned", report.abandoned);
-        json.metric(name, "lost_cpu_seconds", report.lostCpuSeconds);
-        json.metric(name, "absorbed_cpu_seconds",
-                    report.absorbedCpuSeconds);
-        json.metric(name, "absorbed_usd", report.absorbedUsd);
-        json.metric(name, "billed_cpu_seconds",
-                    report.billedCpuSeconds);
-        json.metric(name, "completions", report.completions);
-        json.metric(name, "conservation_error", consErr);
-        json.metric(name, "deterministic", deterministic ? 1 : 0);
         return report;
     };
 
@@ -250,13 +234,6 @@ main()
             TextTable::num(worstConservation, 9) +
             (allDeterministic ? ", all cells deterministic"
                               : ", DETERMINISM BROKEN"));
-
-    json.metric("", "billing_split_error", splitError);
-    json.metric("", "billing_split_usd_error", splitUsdError);
-    json.metric("", "max_conservation_error", worstConservation);
-    json.metric("", "total_killed", totalKilled);
-    json.metric("", "all_deterministic", allDeterministic ? 1 : 0);
-    json.write();
 
     if (worstConservation > 1e-6)
         fatal("fig25: billing conservation violated through failures "

@@ -7,8 +7,7 @@
  * traces fit in bounded memory. This bench generates Azure-shaped
  * CSVs along two axes — function count 10^3 -> 10^5 (10^6 at full
  * scale) at a constant fleet-wide arrival volume, and trace length
- * hour -> day — serves each, and reports per-cell peak RSS,
- * time-to-first-arrival (parse + first pull), wall time, and the
+ * hour -> day — serves each, and reports per-cell peak RSS and the
  * arrival-flow counters (generated / pulled / buffered max).
  *
  * The function sweep holds the served volume constant because
@@ -32,19 +31,15 @@
  *
  * Knobs: LITMUS_TRACE_SCALE (small | standard | full; default
  * standard), LITMUS_TRACE_RSS_CEILING_MB (default 2048),
- * LITMUS_BENCH_STRICT (0 relaxes the RSS-shape assertions),
- * LITMUS_BENCH_JSON.
+ * LITMUS_BENCH_STRICT (0 relaxes the RSS-shape assertions).
  */
 
-#include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "cluster/traffic_source.h"
-#include "common/rng.h"
 #include "scenario/azure_trace.h"
 #include "scenario/scenario_runner.h"
 
@@ -53,17 +48,7 @@ using namespace litmus;
 namespace
 {
 
-using bench::BenchJson;
 using cluster::identicalTotals;
-
-double
-// LITMUS-LINT-ALLOW(wall-clock): measuring wall time IS this bench's purpose
-wallSeconds(std::chrono::steady_clock::time_point from,
-            // LITMUS-LINT-ALLOW(wall-clock): timing only — never feeds simulated results
-            std::chrono::steady_clock::time_point to)
-{
-    return std::chrono::duration<double>(to - from).count();
-}
 
 /** One sweep cell: the shape of an Azure-shaped file. */
 struct Cell
@@ -161,66 +146,26 @@ requireIdentical(const Outcome &a, const Outcome &b,
     }
 }
 
-/** Time from cold model build to the first arrival being available:
- *  the latency a fleet waits before dispatch can begin. */
-double
-timeToFirstArrival(const scenario::ScenarioSpec &spec)
-{
-    const auto &pool = spec.cluster.functionPool;
-    // LITMUS-LINT-ALLOW(wall-clock): time-to-first-dispatch is the measurement
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto model = scenario::makeTrafficModel(spec.traffic);
-    Rng rng(cluster::deriveArrivalSeed(spec.cluster.seed));
-    auto stream = model->open(rng, pool);
-    cluster::Invocation inv;
-    if (!stream->next(inv))
-        fatal("fig26: empty stream");
-    // LITMUS-LINT-ALLOW(wall-clock): timing only — never feeds simulated results
-    return wallSeconds(t0, std::chrono::steady_clock::now());
-}
-
 /** The measured serve of one cell. */
 struct Measured
 {
     cluster::FleetReport report;
     double peakRssMb = 0;
-    double firstArrivalS = 0;
-    double serveWallS = 0;
 };
 
 Measured
 measure(const std::string &path)
 {
     Measured m;
-    m.firstArrivalS = timeToFirstArrival(cellSpec(path));
     const bool rss = bench::resetPeakRss();
-    // LITMUS-LINT-ALLOW(wall-clock): serve wall time is the measurement
-    const auto t0 = std::chrono::steady_clock::now();
     scenario::ScenarioRunner runner(cellSpec(path));
     m.report = runner.run();
-    // LITMUS-LINT-ALLOW(wall-clock): timing only — never feeds simulated results
-    m.serveWallS = wallSeconds(t0, std::chrono::steady_clock::now());
+    if (m.report.arrivals == 0)
+        fatal("fig26: empty stream from ", path);
     if (rss)
         m.peakRssMb =
             static_cast<double>(bench::peakRssBytes()) / (1 << 20);
     return m;
-}
-
-void
-recordCell(BenchJson &json, const std::string &group, const Measured &m)
-{
-    json.metric(group, "arrivals",
-                static_cast<double>(m.report.arrivals));
-    json.metric(group, "peak_rss_mb", m.peakRssMb);
-    json.metric(group, "first_arrival_s", m.firstArrivalS);
-    json.metric(group, "serve_wall_s", m.serveWallS);
-    json.metric(group, "throughput", m.report.throughput());
-    json.metric(group, "generated",
-                static_cast<double>(m.report.arrivalFlow.generated));
-    json.metric(group, "pulled",
-                static_cast<double>(m.report.arrivalFlow.pulled));
-    json.metric(group, "buffered_max",
-                static_cast<double>(m.report.arrivalFlow.bufferedMax));
 }
 
 } // namespace
@@ -257,22 +202,15 @@ main()
         paths.push_back(path);
     }
 
-    BenchJson json("BENCH_trace_scale.json");
     std::vector<Measured> streaming;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        streaming.push_back(measure(paths[i]));
-        recordCell(json, cells[i].name() + "_streaming",
-                   streaming.back());
-    }
+    for (const std::string &path : paths)
+        streaming.push_back(measure(path));
 
-    TextTable table({"cell", "arrivals", "peak RSS MB",
-                     "first arrival ms", "serve s", "buffered max"});
+    TextTable table({"cell", "arrivals", "peak RSS MB", "buffered max"});
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Measured &m = streaming[i];
         table.addRow({cells[i].name(), std::to_string(m.report.arrivals),
                       TextTable::num(m.peakRssMb, 1),
-                      TextTable::num(1e3 * m.firstArrivalS, 2),
-                      TextTable::num(m.serveWallS, 2),
                       std::to_string(m.report.arrivalFlow.bufferedMax)});
     }
     table.print(std::cout);
@@ -364,10 +302,5 @@ main()
             " of " + std::to_string(streaming.back().report.arrivals) +
             " last-cell arrivals), ledgers bit-identical at 1 & 8 "
             "threads (+chaos)");
-
-    json.metric("", "cells", static_cast<double>(cells.size()));
-    json.metric("", "rss_available", rssAvailable ? 1 : 0);
-    json.metric("", "differential_ok", 1);
-    json.write();
     return 0;
 }

@@ -5,12 +5,12 @@
 namespace litmus::cluster
 {
 
-EpochPool::EpochPool(unsigned threads) : threads_(threads)
+EpochPool::EpochPool(unsigned threads)
 {
-    if (threads_ == 0)
+    if (threads == 0)
         fatal("EpochPool: need at least one thread");
     // One thread means inline execution; no workers to park.
-    for (unsigned i = 1; i < threads_; ++i)
+    for (unsigned i = 1; i < threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });
 }
 

@@ -48,9 +48,6 @@ class EpochPool
     /** Execute all jobs, returning once every one has finished. */
     void run(const std::vector<std::function<void()>> &jobs);
 
-    /** Number of worker threads (1 = inline execution). */
-    unsigned threadCount() const { return threads_; }
-
   private:
     /**
      * One barrier's worth of work. Claim counters live here, not on
@@ -84,7 +81,6 @@ class EpochPool
 
     void workerLoop();
 
-    unsigned threads_;
     std::vector<std::thread> workers_; // set in ctor, then immutable
 
     Mutex mutex_;

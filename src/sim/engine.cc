@@ -67,7 +67,6 @@ Engine::Engine(const MachineConfig &cfg, FrequencyPolicy policy,
       scheduler_(cfg_),
       quantum_(quantum > 0 ? quantum : cfg_.quantum),
       quantumNs_(std::llround(quantum_ * 1e9)),
-      lastFrequency_(cfg_.baseFrequency),
       fastForward_(defaultFastForward_)
 {
     cfg_.validate();
@@ -363,7 +362,6 @@ Engine::fullStep()
     // contention solve (and the memo key) like any frequency change.
     const Hertz freq =
         governor_.frequency(scheduler_.activeCores()) * speedFactor_;
-    lastFrequency_ = freq;
 
     // Gather running threads and solve each socket's shared domain
     // independently (sockets == 1 for the default presets).
@@ -420,8 +418,8 @@ Engine::fullStep()
         const double waitingWs =
             scheduler_.waitingWorkingSet(cpuBegin, cpuEnd);
         // The memo returns a result bit-identical to a fresh solve;
-        // exact-quantum mode bypasses it so --exact-quantum times the
-        // true baseline.
+        // exact mode bypasses it so the reference path never touches
+        // the cache it is checking.
         ContentionResult freshSolve;
         if (!fastForward_) {
             freshSolve = solver_.solve(inputs, freq, waitingWs);

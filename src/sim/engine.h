@@ -20,8 +20,8 @@
  * bit-identical to exact quantum stepping while skipping the scheduler
  * scans and the iterative contention solve. Re-solves that do happen
  * are served from a ContentionMemo keyed on the co-running phase
- * signature. setFastForward(false) (the apps' --exact-quantum flag)
- * restores the original path for A/B validation.
+ * signature. setFastForward(false) restores the original path; the
+ * differential tests use it as the reference.
  */
 
 #ifndef LITMUS_SIM_ENGINE_H
@@ -177,9 +177,6 @@ class Engine
     /** Contention solver (shared with calibration tooling). */
     const ContentionSolver &solver() const { return solver_; }
 
-    /** Frequency used in the most recent quantum. */
-    Hertz currentFrequency() const { return lastFrequency_; }
-
     /** Number of live tasks. */
     std::size_t taskCount() const { return tasks_.size(); }
 
@@ -221,16 +218,18 @@ class Engine
     /** @name Steady-state fast-forward control @{ */
     /**
      * Enable or disable the fast-forward core for this engine.
-     * Output is bit-identical either way; disabling exists as an A/B
-     * escape hatch (--exact-quantum) and for baseline timing.
+     * Output is bit-identical either way; disabled, every quantum
+     * takes the exact full step and bypasses the contention memo —
+     * the reference path the differential tests compare against.
      */
     void setFastForward(bool enabled);
     bool fastForward() const { return fastForward_; }
 
     /**
-     * Process-wide default applied to newly constructed engines, so
-     * command-line front ends can flip every engine an experiment
-     * creates internally without threading a flag through each config.
+     * Process-wide default applied to newly constructed engines. The
+     * differential tests use it to put the engines that Cluster and
+     * ScenarioRunner build internally on the exact reference path;
+     * they restore it before building anything else.
      */
     static void setDefaultFastForward(bool enabled);
     static bool defaultFastForward();
@@ -311,7 +310,6 @@ class Engine
     Seconds now_ = 0;
     /** Lifetime quanta: stepped + skipped (see tickCount()). */
     std::uint64_t tickCount_ = 0;
-    Hertz lastFrequency_;
     MachineCounters machine_;
     std::vector<std::unique_ptr<Task>> tasks_;
     /** Ids of live tasks, so alive checks in run loops stay O(1). */

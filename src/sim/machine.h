@@ -26,9 +26,6 @@ struct RunResult
     TaskCounters counters;
     ProbeCapture probe;
     Seconds wallTime = 0;
-
-    /** On-CPU time in seconds at the given frequency. */
-    Seconds cpuTime(Hertz freq) const { return counters.cycles / freq; }
 };
 
 /**

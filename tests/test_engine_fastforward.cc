@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -254,6 +256,7 @@ TEST(EngineFastForward, SteadyWorkloadReplaysAlmostEverything)
     const EngineStats &st = engine.stats();
     EXPECT_EQ(st.quanta.value(), 10000.0);
     // One solve to build the plan, replay from there on.
+    EXPECT_EQ(st.solves.value(), 1.0);
     EXPECT_GT(st.ffQuanta.value(), 0.99 * st.quanta.value());
     // Simulated time is conserved exactly through the replay path.
     EXPECT_NEAR(engine.now(), 0.5, 1e-9);
@@ -316,6 +319,15 @@ TEST_P(ClusterDifferential, TotalsIdenticalAcrossModes)
     // quanta: each epoch then advances more than cfg.epoch, and the
     // idle jump must be computed against the covering-quantum span or
     // the loop overshoots arrivals.
+    //
+    // In both modes every engine's quantum accounting must conserve
+    // simulated time: the clock it reached equals its covered quanta
+    // (executed, replayed or not, plus idle-skipped) times the
+    // quantum. The bound is relative 1e-9 with a 1 ns floor: the clock
+    // accumulates one addition per quantum, while a lost or double-
+    // counted quantum is off by a whole quantum. Exact engines must
+    // never replay, or the comparison would check fast-forward against
+    // itself.
     auto runFleet = [](bool exact, Seconds epoch) {
         cluster::ClusterConfig cfg;
         cfg.fleet = {{"cascade-5218", 2}};
@@ -331,7 +343,22 @@ TEST_P(ClusterDifferential, TotalsIdenticalAcrossModes)
         Engine::setDefaultFastForward(!exact);
         cluster::Cluster fleet(cfg);
         Engine::setDefaultFastForward(previous);
-        return fleet.run();
+        cluster::FleetReport report = fleet.run();
+        for (unsigned m = 0; m < report.machines.size(); ++m) {
+            SCOPED_TRACE("machine " + std::to_string(m) +
+                         (exact ? " exact" : " fast-forward"));
+            const Engine &engine = fleet.engine(m);
+            const double covered = engine.stats().quanta.value() +
+                                   engine.stats().skippedQuanta.value();
+            EXPECT_GT(covered, 0.0);
+            const double expected = covered * engine.quantum();
+            EXPECT_NEAR(engine.now(), expected,
+                        1e-9 * std::max(1.0, expected));
+            if (exact) {
+                EXPECT_EQ(engine.stats().ffQuanta.value(), 0.0);
+            }
+        }
+        return report;
     };
     const cluster::FleetReport exact = runFleet(true, GetParam());
     const cluster::FleetReport fast = runFleet(false, GetParam());
